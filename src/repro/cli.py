@@ -219,19 +219,16 @@ def _write_chaos_report(path: str, result, cloud) -> None:
     """
     from dataclasses import asdict, replace
 
-    from .persistence import canonical_json, payload_checksum
+    from .persistence import payload_checksum, write_canonical
 
     # Detach the experiment first: ``asdict`` deep-copies every field,
     # and copying the whole rack world just to drop it is wasteful.
     payload = asdict(replace(result, experiment=None))
     payload.pop("experiment", None)
-    report = {
+    write_canonical(path, {
         "result": payload,
         "metrics_sha256": payload_checksum(cloud.metrics_snapshot()),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(report))
-        handle.write("\n")
+    })
 
 
 def _cmd_chaos_persistent(args: argparse.Namespace) -> int:
@@ -356,14 +353,12 @@ def _cmd_eop(args: argparse.Namespace) -> int:
          for row in result.state_table],
     ))
     if args.report_json:
-        from .persistence import canonical_json, payload_checksum
+        from .persistence import payload_checksum, write_canonical
 
         payload = result.as_dict()
-        report = {"config": config.as_dict(), "result": payload,
-                  "checksum": payload_checksum(payload)}
-        with open(args.report_json, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(report))
-            handle.write("\n")
+        write_canonical(args.report_json, {
+            "config": config.as_dict(), "result": payload,
+            "checksum": payload_checksum(payload)})
     if result.demotions < args.expect_demotions:
         print(f"error: expected >= {args.expect_demotions} demotion(s), "
               f"saw {result.demotions}", file=sys.stderr)
@@ -410,13 +405,13 @@ def _parse_grid(items):
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import render_table
+    from .persistence import write_canonical
     from .sweep import (
         SweepSpec,
         harvest_report,
         report_digest,
         run_sweep,
         sweep_report,
-        write_report,
     )
 
     try:
@@ -460,10 +455,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"FAILED {failure['point']} seed={failure['seed']}: "
               f"{failure['error']}", file=sys.stderr)
     if args.report_json:
-        write_report(args.report_json, report)
+        write_canonical(args.report_json, report)
     if args.harvest_labels:
         harvested = harvest_report(outcome)
-        write_report(args.harvest_labels, harvested)
+        write_canonical(args.harvest_labels, harvested)
         print(f"harvested {harvested['n_observations']} labelled "
               f"observations -> {args.harvest_labels}")
         print(f"harvest sha256: {report_digest(harvested)}")
@@ -477,7 +472,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         score_harvest,
         train_from_observations,
     )
-    from .persistence import payload_checksum
+    from .persistence import payload_checksum, write_canonical
     from .sweep import SweepSpec, harvest_report, run_sweep
 
     try:
@@ -557,18 +552,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         "ab": ab,
     }
     if args.report_json:
-        _write_canonical(args.report_json, report)
+        write_canonical(args.report_json, report)
     print(f"report sha256: {payload_checksum(report)}")
     return 0
-
-
-def _write_canonical(path: str, report) -> None:
-    """Write a canonical-JSON report file (newline-terminated)."""
-    from .persistence import canonical_json
-
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(report))
-        handle.write("\n")
 
 
 def _parse_kill_specs(specs, jobs: int = None) -> list:
@@ -605,7 +591,7 @@ def _parse_kill_specs(specs, jobs: int = None) -> list:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .persistence import payload_checksum
+    from .persistence import payload_checksum, write_canonical
 
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
@@ -694,14 +680,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
               "energy proportionality: no samples")
         digest = report["report_sha256"]
     if args.report_json:
-        _write_canonical(args.report_json, report)
+        write_canonical(args.report_json, report)
     print(f"report sha256: {digest}")
     return 0
 
 
 def _cmd_hrm(args: argparse.Namespace) -> int:
     from .hrm import HrmConfig, run_hrm_ab
-    from .persistence import payload_checksum
+    from .persistence import payload_checksum, write_canonical
 
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
@@ -727,7 +713,7 @@ def _cmd_hrm(args: argparse.Namespace) -> int:
     print("tiered layout is "
           + ("ON" if on_frontier else "OFF") + " the frontier")
     if args.report_json:
-        _write_canonical(args.report_json, report)
+        write_canonical(args.report_json, report)
     print(f"report sha256: {payload_checksum(report)}")
     return 0 if on_frontier or not args.require_frontier else 1
 
@@ -998,7 +984,6 @@ def build_parser() -> argparse.ArgumentParser:
     hrm = sub.add_parser(
         "hrm", help="tiered-vs-uniform memory reliability A/B")
     hrm.add_argument("--nodes", type=int, default=8)
-    hrm.add_argument("--seed", type=int, default=0)
     hrm.add_argument("--duration", type=float, default=3600.0)
     hrm.add_argument("--vms", type=int, default=4,
                      help="VMs per node (default 4)")

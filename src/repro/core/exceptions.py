@@ -91,7 +91,12 @@ class SweepError(UniServerError):
     """A sweep worker failed permanently after its bounded retries."""
 
 
-class FleetWorkerError(UniServerError):
+class WorkerError(UniServerError):
+    """A supervised worker process died, closed its pipe, or missed its
+    reply deadline (see :mod:`repro.core.workers`)."""
+
+
+class FleetWorkerError(WorkerError):
     """A fleet shard worker died, wedged, or broke protocol.
 
     Carries enough context for the supervisor (and for error reports

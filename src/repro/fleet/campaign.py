@@ -4,9 +4,9 @@ The sweep engine parallelizes *across* campaigns; this module
 parallelizes *within* one.  The fleet is split into contiguous node
 shards (:func:`~repro.fleet.state.shard_bounds`); each shard steps
 through the :class:`~repro.fleet.vectors.FleetVectors` batch models,
-either in-process or across shared-nothing worker subprocesses started
-the same way the sweep engine starts its workers
-(:func:`~repro.sweep.engine.default_mp_context`).
+either in-process or across shared-nothing worker subprocesses
+(:class:`~repro.core.workers.Worker`, the handle every process pool in
+the repo uses).
 
 **Determinism contract** (pinned by ``tests/test_fleet_campaign.py``
 and priced by ``benchmarks/bench_fleet_scaling.py`` /
@@ -50,9 +50,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import os
-import signal
-import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -63,13 +60,14 @@ from ..core.exceptions import (
     ConfigurationError,
     FleetWorkerError,
     PersistenceError,
+    WorkerError,
 )
+from ..core.workers import POLL_S, Worker
 from ..persistence.snapshot import (
     SnapshotStore,
     shard_entries,
     verify_shard_entries,
 )
-from ..sweep.engine import default_mp_context
 from ..resilience.chaos import FaultPlan
 from .chaos import FleetChaos, fleet_correlated_plan, fleet_fault_plan
 from .domains import FaultDomainTopology
@@ -93,12 +91,12 @@ logger = logging.getLogger(__name__)
 
 STEPPERS = ("vector", "scalar")
 
-#: Granularity of the supervised receive loop (seconds between
-#: liveness checks while waiting on a worker reply).
-_POLL_S = 0.05
-
 #: ``down_until_step`` sentinel for permanently quarantined nodes.
 _FOREVER = 2**62
+
+#: Names of the dynamic per-node arrays, and the telemetry sample.
+_DYNAMIC_NAMES = tuple(name for name, _ in DYNAMIC_FIELDS)
+_SAMPLED = ("power_w", "margin_on")
 
 
 @dataclass(frozen=True)
@@ -269,46 +267,71 @@ class FleetCampaignConfig:
 # -- executors ----------------------------------------------------------------
 
 
-class _InProcessExecutor:
-    """Steps every shard sequentially in the calling process."""
+class _Shards:
+    """Some shards of one fleet, stepped over a full state rebuilt from
+    config (statics are pure functions of it).
 
-    def __init__(self, config: FleetCampaignConfig) -> None:
+    The in-process executor owns every shard; a worker owns its
+    round-robin share; quarantine rebuilds a dead worker's share in the
+    parent.  All three step through :meth:`step`.
+    """
+
+    def __init__(self, config: FleetCampaignConfig,
+                 indices: Sequence[int]) -> None:
         self.config = config
         self.state = build_fleet_state(config.fleet)
         self.vectors = FleetVectors(config.fleet)
-        self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
         self.chaos = config.build_chaos(keys=self.state.keys)
-        self._views = [self.state.view(lo, hi)
-                       for lo, hi in self.bounds]
-        self._shard_chaos = [
-            self.chaos.view(lo, hi) if self.chaos is not None else None
-            for lo, hi in self.bounds]
-        self.worker_restarts_total = 0
+        self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
+        #: Shard index -> (view, chaos view), in ``indices`` order.
+        self.views = {}
+        for i in indices:
+            lo, hi = self.bounds[i]
+            self.views[i] = (
+                self.state.view(lo, hi),
+                self.chaos.view(lo, hi) if self.chaos is not None else None)
 
-    def step(self, t: int, used: np.ndarray) -> None:
+    def step(self, t: int, used) -> None:
         self.state.used_vcpus[:] = used
-        for (lo, hi), view, chaos_view in zip(
-                self.bounds, self._views, self._shard_chaos):
+        for view, chaos_view in self.views.values():
             if self.config.stepper == "vector":
                 self.vectors.step(view, t, chaos_view)
             else:
-                for index in range(hi - lo):
+                for index in range(view.n):
                     self.vectors.step_node(view, index, t, chaos_view)
 
-    def sample(self) -> Dict[str, np.ndarray]:
-        return {"power_w": self.state.power_w.copy(),
-                "margin_on": self.state.margin_on.copy()}
+    def overlay(self, pieces) -> None:
+        """Load the ``(index, dynamics)`` pieces of owned shards; None
+        keeps the fresh build."""
+        for i, piece in pieces:
+            if piece is None or i not in self.views:
+                continue
+            view = self.views[i][0]
+            for name, dtype in DYNAMIC_FIELDS:
+                getattr(view, name)[:] = np.asarray(piece[name],
+                                                    dtype=dtype)
+
+    def pieces(self, names: Sequence[str]) -> List[Tuple[int, Dict]]:
+        """``(index, {name: copy})`` for every owned shard."""
+        return [(i, {name: getattr(view, name).copy() for name in names})
+                for i, (view, _c) in self.views.items()]
+
+
+class _InProcessExecutor(_Shards):
+    """Steps every shard sequentially in the calling process."""
+
+    worker_restarts_total = 0
+
+    def __init__(self, config: FleetCampaignConfig) -> None:
+        super().__init__(config, range(config.shards))
+
+    def step_and_sample(self, t: int,
+                        used: np.ndarray) -> Dict[str, np.ndarray]:
+        self.step(t, used)
+        return {name: getattr(self.state, name).copy() for name in _SAMPLED}
 
     def gather(self) -> Dict[str, object]:
         return self.state.state_dict()
-
-    def gather_shards(self) -> List[Tuple[int, int, int, Dict]]:
-        """Per-shard ``(index, lo, hi, state)`` dynamics for snapshots."""
-        return [
-            (i, lo, hi, {name: getattr(view, name).tolist()
-                         for name, _ in DYNAMIC_FIELDS})
-            for i, ((lo, hi), view)
-            in enumerate(zip(self.bounds, self._views))]
 
     def quarantined_mask(self) -> np.ndarray:
         """In-process stepping has no workers, hence no quarantine."""
@@ -325,92 +348,56 @@ def _fleet_worker_main(config_state: Dict[str, object],
                        shard_indices: List[int], conn) -> None:
     """Worker entry: own a subset of shards, step on command.
 
-    The worker rebuilds the *full* fleet state from config (statics are
-    pure functions of it) but steps only its assigned shard views —
-    shared-nothing over shards, byte-identical to any other partition.
+    Shared-nothing over shards, byte-identical to any other partition.
     Every reply carries the step it acknowledges (-1 for non-step
     commands), feeding the parent's liveness ledger.
     """
-    config = FleetCampaignConfig.from_dict(config_state)
-    state = build_fleet_state(config.fleet)
-    vectors = FleetVectors(config.fleet)
-    chaos = config.build_chaos(keys=state.keys)
-    bounds = shard_bounds(config.fleet.n_nodes, config.shards)
-    mine = []
-    for i in shard_indices:
-        lo, hi = bounds[i]
-        mine.append((i, (lo, hi), state.view(lo, hi),
-                     chaos.view(lo, hi) if chaos is not None else None))
-
-    def advance(t: int, used) -> None:
-        state.used_vcpus[:] = used
-        for _i, (lo, hi), view, chaos_view in mine:
-            if config.stepper == "vector":
-                vectors.step(view, t, chaos_view)
-            else:
-                for index in range(hi - lo):
-                    vectors.step_node(view, index, t, chaos_view)
-
+    shards = _Shards(FleetCampaignConfig.from_dict(config_state),
+                     shard_indices)
     while True:
         message = conn.recv()
         kind = message[0]
         if kind == "stop":
             break
-        if kind == "load":
-            for i, piece in message[1]:
-                for owned, _b, view, _c in mine:
-                    if owned != i or piece is None:
-                        continue
-                    for name, dtype in DYNAMIC_FIELDS:
-                        getattr(view, name)[:] = np.asarray(
-                            piece[name], dtype=dtype)
-            conn.send(("ok", -1))
-            continue
-        if kind == "replay":
-            for t, used in message[1]:
-                advance(t, used)
-            conn.send(("ok", -1))
-            continue
-        if kind == "step":
+        if kind == "restore":
+            _, pieces, replay = message
+            shards.overlay(pieces)
+            for t, used in replay:
+                shards.step(t, used)
+            reply = ("ok", -1)
+        elif kind == "step":
             _, t, used, want_sample = message
-            advance(t, used)
-            if want_sample:
-                conn.send(("sample", [
-                    (i, {"power_w": view.power_w.copy(),
-                         "margin_on": view.margin_on.copy()})
-                    for i, _b, view, _c in mine], t))
-            else:
-                conn.send(("ok", t))
-            continue
-        if kind == "gather":
-            conn.send(("state", [
-                (i, {name: getattr(view, name).copy()
-                     for name, _ in DYNAMIC_FIELDS})
-                for i, _b, view, _c in mine], -1))
-            continue
-        raise RuntimeError(f"unknown fleet worker command {kind!r}")
+            shards.step(t, used)
+            reply = ("sample", shards.pieces(_SAMPLED), t) \
+                if want_sample else ("ok", t)
+        elif kind == "gather":
+            reply = ("state", shards.pieces(_DYNAMIC_NAMES), -1)
+        else:
+            raise RuntimeError(f"unknown fleet worker command {kind!r}")
+        conn.send(reply)
     conn.close()
 
 
 class _ProcessExecutor:
     """Steps shards across supervised shared-nothing worker processes.
 
-    Shards are dealt round-robin to ``jobs`` workers; every step is a
+    Shards are dealt round-robin to ``jobs`` workers
+    (:class:`~repro.core.workers.Worker` handles); every step is a
     barrier: the parent broadcasts, then collects acknowledgements in
-    worker order before continuing.  Every receive polls with a
-    deadline; a dead, wedged, or straggling worker is SIGKILLed,
-    respawned, and deterministically replayed from the last per-shard
-    checkpoint plus the recorded admission inputs.  A worker that
-    exhausts ``max_worker_restarts`` has its shards quarantined: the
-    parent replays them in-process to the failure step, marks their
-    nodes DOWN, and freezes them for the rest of the campaign.
+    worker order before continuing.  Every receive has a deadline; a
+    dead, wedged, or straggling worker is SIGKILLed, respawned, and
+    deterministically replayed from the last per-shard checkpoint plus
+    the recorded admission inputs.  A worker that exhausts
+    ``max_worker_restarts`` has its shards quarantined: the parent
+    replays them in-process to the failure step, marks their nodes
+    DOWN, and freezes them for the rest of the campaign.
     """
 
     #: First patience for ``close()``; escalation halves it.
     CLOSE_JOIN_TIMEOUT_S = 10.0
 
     def __init__(self, config: FleetCampaignConfig, jobs: int,
-                 mp_context=None, worker_timeout_s: float = 30.0,
+                 worker_timeout_s: float = 30.0,
                  max_worker_restarts: int = 2,
                  checkpoint_every_steps: Optional[int] = 25,
                  kill_worker_at: Sequence[Tuple[int, int]] = ()) -> None:
@@ -425,8 +412,6 @@ class _ProcessExecutor:
                 "checkpoint_every_steps must be >= 1")
         self.config = config
         self.bounds = shard_bounds(config.fleet.n_nodes, config.shards)
-        self._ctx = mp_context if mp_context is not None \
-            else default_mp_context()
         jobs = min(jobs, len(self.bounds))
         self.jobs = jobs
         self.worker_timeout_s = worker_timeout_s
@@ -444,8 +429,6 @@ class _ProcessExecutor:
             self._kill_at.setdefault(int(step), []).append(int(worker))
         self._config_state = config.as_dict()
         self.chaos = config.build_chaos()
-        self._vectors = FleetVectors(config.fleet)
-        self._workers: List[Optional[tuple]] = [None] * jobs
         self._restarts = [0] * jobs
         self._last_acked: List[Optional[int]] = [None] * jobs
         self._quarantined_workers: set = set()
@@ -455,65 +438,35 @@ class _ProcessExecutor:
         #: Admission inputs since the last checkpoint — the replay log.
         self._history: List[Tuple[int, np.ndarray]] = []
         self.worker_restarts_total = 0
-        for worker in range(jobs):
-            self._spawn(worker)
+        self._workers = [self._spawn(worker) for worker in range(jobs)]
 
     # -- supervised plumbing ----------------------------------------------
 
-    def _spawn(self, worker: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_fleet_worker_main,
-            args=(self._config_state, self._assignment[worker],
-                  child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        self._workers[worker] = (process, parent_conn)
+    def _spawn(self, worker: int) -> Worker:
         self._last_acked[worker] = None
+        return Worker(
+            _fleet_worker_main,
+            (self._config_state, self._assignment[worker]),
+            name=f"fleet worker {worker} "
+                 f"(shards {self._assignment[worker]})")
 
     def _live_workers(self) -> List[int]:
         return [w for w in range(self.jobs)
                 if w not in self._quarantined_workers]
 
-    def _send(self, worker: int, message) -> None:
-        _process, conn = self._workers[worker]
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            # Death is detected — and recovered — at receive time.
-            pass
-
     def _failure(self, worker: int, what: str) -> FleetWorkerError:
         return FleetWorkerError(
-            f"fleet worker {worker} "
-            f"(shards {self._assignment[worker]}) {what}; "
-            f"last acked step: {self._last_acked[worker]}",
+            f"{what}; last acked step: {self._last_acked[worker]}",
             worker=worker, shards=self._assignment[worker],
             last_acked_step=self._last_acked[worker])
 
     def _recv(self, worker: int, timeout: Optional[float] = None):
-        """Poll-with-deadline receive: never blocks on a dead worker."""
-        process, conn = self._workers[worker]
-        timeout = self.worker_timeout_s if timeout is None else timeout
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                if conn.poll(_POLL_S):
-                    return conn.recv()
-            except (EOFError, OSError) as exc:
-                raise self._failure(
-                    worker, f"closed its pipe ({exc})") from exc
-            if not process.is_alive():
-                try:  # drain a final buffered reply, if any
-                    if conn.poll(0):
-                        return conn.recv()
-                except (EOFError, OSError):
-                    pass
-                raise self._failure(worker, "died")
-            if time.monotonic() >= deadline:
-                raise self._failure(
-                    worker, f"wedged: no reply within {timeout:.1f}s")
+        """Deadline-bounded receive: never blocks on a dead worker."""
+        try:
+            return self._workers[worker].recv(
+                self.worker_timeout_s if timeout is None else timeout)
+        except WorkerError as exc:
+            raise self._failure(worker, str(exc)) from exc
 
     def _note_ack(self, worker: int, reply) -> None:
         step = reply[-1] if reply and isinstance(reply[-1], int) else -1
@@ -522,38 +475,32 @@ class _ProcessExecutor:
 
     def _restart(self, worker: int) -> bool:
         """Kill + respawn one worker; False once the budget is spent."""
-        process, conn = self._workers[worker]
-        if process.is_alive():
-            process.kill()
-        process.join(timeout=10)
-        conn.close()
+        handle = self._workers[worker]
+        handle.kill()
+        handle.close()
         self._restarts[worker] += 1
         self.worker_restarts_total += 1
         if self._restarts[worker] > self.max_worker_restarts:
             return False
-        self._spawn(worker)
+        self._workers[worker] = self._spawn(worker)
         logger.warning(
             "fleet worker %d respawned (restart %d/%d)", worker,
             self._restarts[worker], self.max_worker_restarts)
         return True
 
-    def _reload_and_replay(self, worker: int,
-                           replay: List[Tuple[int, np.ndarray]]) -> None:
+    def _restore(self, worker: int,
+                 replay: List[Tuple[int, np.ndarray]]) -> None:
         """Rebuild a respawned worker: checkpoint overlay + re-step."""
-        self._send(worker, ("load", [(i, self._ckpt[i])
-                                     for i in self._assignment[worker]]))
-        reply = self._recv(worker)
+        handle = self._workers[worker]
+        handle.send(("restore", [(i, self._ckpt[i])
+                                 for i in self._assignment[worker]],
+                     list(replay)))
+        reply = self._recv(worker, timeout=self.worker_timeout_s
+                           + POLL_S * len(replay))
         if reply[0] != "ok":
             raise self._failure(
-                worker, f"broke protocol on reload ({reply[0]!r})")
-        if replay:
-            self._send(worker, ("replay", list(replay)))
-            reply = self._recv(
-                worker, timeout=self.worker_timeout_s
-                + _POLL_S * len(replay))
-            if reply[0] != "ok":
-                raise self._failure(
-                    worker, f"broke protocol on replay ({reply[0]!r})")
+                worker, f"{handle.name} broke protocol on restore "
+                        f"({reply[0]!r})")
 
     def _collect(self, worker: int, message,
                  replay: List[Tuple[int, np.ndarray]]):
@@ -572,8 +519,8 @@ class _ProcessExecutor:
                     self._quarantine(worker, message, replay)
                     return None
                 try:
-                    self._reload_and_replay(worker, replay)
-                    self._send(worker, message)
+                    self._restore(worker, replay)
+                    self._workers[worker].send(message)
                 except FleetWorkerError as exc:
                     logger.warning(
                         "respawned worker failed during replay: %s",
@@ -597,38 +544,17 @@ class _ProcessExecutor:
             "fleet worker %d exhausted %d restart(s); quarantining "
             "shards %s", worker, self.max_worker_restarts,
             self._assignment[worker])
-        config = self.config
-        state = build_fleet_state(config.fleet)
-        shard_views = []
-        for i in self._assignment[worker]:
-            lo, hi = self.bounds[i]
-            view = state.view(lo, hi)
-            ckpt = self._ckpt[i]
-            if ckpt is not None:
-                for name, dtype in DYNAMIC_FIELDS:
-                    getattr(view, name)[:] = np.asarray(
-                        ckpt[name], dtype=dtype)
-            shard_views.append(
-                (i, (lo, hi), view,
-                 self.chaos.view(lo, hi)
-                 if self.chaos is not None else None))
+        shards = _Shards(self.config, self._assignment[worker])
+        shards.overlay(self._ckpt.items())
         steps = list(replay)
         if message and message[0] == "step":
             steps.append((message[1], message[2]))
         for t, used in steps:
-            state.used_vcpus[:] = used
-            for _i, (lo, hi), view, chaos_view in shard_views:
-                if config.stepper == "vector":
-                    self._vectors.step(view, t, chaos_view)
-                else:
-                    for index in range(hi - lo):
-                        self._vectors.step_node(
-                            view, index, t, chaos_view)
-        for i, _b, view, _c in shard_views:
+            shards.step(t, used)
+        for view, _c in shards.views.values():
             view.quarantined[:] = True
             view.down_until_step[:] = _FOREVER
-            self._ckpt[i] = {name: getattr(view, name).copy()
-                             for name, _ in DYNAMIC_FIELDS}
+        self._ckpt.update(shards.pieces(_DYNAMIC_NAMES))
         self._quarantined_workers.add(worker)
 
     def quarantined_mask(self) -> np.ndarray:
@@ -647,57 +573,57 @@ class _ProcessExecutor:
         for worker in self._kill_at.get(t, ()):
             if worker in self._quarantined_workers:
                 continue
-            process, _conn = self._workers[worker]
-            if process.pid is not None and process.is_alive():
-                os.kill(process.pid, signal.SIGKILL)
+            handle = self._workers[worker]
+            if handle.alive():
+                handle.kill()
                 logger.warning(
                     "injected SIGKILL into fleet worker %d at step %d",
                     worker, t)
 
-    def _step_exchange(self, t: int, used: np.ndarray,
-                       want_sample: bool):
-        self._maybe_kill(t)
-        used = np.array(used, dtype=np.int64)
-        self._history.append((t, used))
-        message = ("step", t, used, want_sample)
-        replay = self._history[:-1]
+    def _exchange(self, message, expect: str,
+                  replay: List[Tuple[int, np.ndarray]]) -> Dict[int, Dict]:
+        """The barrier: send ``message`` to every live worker, then
+        collect their ``expect`` replies in worker order.
+
+        Returns shard index -> dynamics: the replies' shard pieces laid
+        over the checkpoints, which hold the frozen state of quarantined
+        shards.
+        """
         live = self._live_workers()
         for worker in live:
-            self._send(worker, message)
-        pieces: List[Tuple[int, Dict]] = []
+            self._workers[worker].send(message)
+        pieces: Dict[int, Dict] = {}
         for worker in live:
             reply = self._collect(worker, message, replay)
             if reply is None:
                 continue
-            if reply[0] != ("sample" if want_sample else "ok"):
+            if reply[0] != expect:
                 raise PersistenceError(
                     f"fleet worker protocol error: {reply[0]!r}")
-            if want_sample:
-                pieces.extend(reply[1])
+            if expect != "ok":
+                pieces.update(reply[1])
+        return {**self._ckpt, **pieces}
+
+    def _step_exchange(self, t: int, used: np.ndarray,
+                       want_sample: bool) -> Dict[int, Dict]:
+        self._maybe_kill(t)
+        used = np.array(used, dtype=np.int64)
+        self._history.append((t, used))
+        pieces = self._exchange(("step", t, used, want_sample),
+                                "sample" if want_sample else "ok",
+                                self._history[:-1])
         if (self.checkpoint_every_steps is not None
                 and len(self._history) >= self.checkpoint_every_steps):
             self._checkpoint()
-        if not want_sample:
-            return None
-        have = {i for i, _ in pieces}
-        for i in range(len(self.bounds)):
-            if i not in have:  # quarantined: frozen at failure step
-                ckpt = self._ckpt[i]
-                pieces.append((i, {
-                    "power_w": np.asarray(ckpt["power_w"],
-                                          dtype=np.float64),
-                    "margin_on": np.asarray(ckpt["margin_on"],
-                                            dtype=np.bool_)}))
         return pieces
 
     def step(self, t: int, used: np.ndarray) -> None:
         self._step_exchange(t, used, False)
 
-    def _assemble(self, pieces: List[Tuple[int, Dict]],
+    def _assemble(self, by_shard: Dict[int, Dict],
                   names: Sequence[str]) -> Dict[str, np.ndarray]:
         n = self.config.fleet.n_nodes
         out = {}
-        by_shard = dict(pieces)
         for name in names:
             parts = [np.asarray(by_shard[i][name])
                      for i in range(len(self.bounds))]
@@ -709,60 +635,25 @@ class _ProcessExecutor:
     def step_and_sample(self, t: int,
                         used: np.ndarray) -> Dict[str, np.ndarray]:
         pieces = self._step_exchange(t, used, True)
-        return self._assemble(pieces, ("power_w", "margin_on"))
-
-    def sample(self) -> Dict[str, np.ndarray]:
-        raise NotImplementedError  # parent always uses step_and_sample
+        return self._assemble(pieces, _SAMPLED)
 
     # -- checkpoints, gather, load -----------------------------------------
 
-    def _gather_pieces(self) -> List[Tuple[int, Dict]]:
-        message = ("gather",)
-        live = self._live_workers()
-        for worker in live:
-            self._send(worker, message)
-        pieces: List[Tuple[int, Dict]] = []
-        for worker in live:
-            reply = self._collect(worker, message, list(self._history))
-            if reply is None:
-                continue
-            if reply[0] != "state":
-                raise PersistenceError(
-                    f"fleet worker protocol error: {reply[0]!r}")
-            pieces.extend(reply[1])
-        return pieces
+    def _gather_pieces(self) -> Dict[int, Dict]:
+        return self._exchange(("gather",), "state", list(self._history))
 
     def _checkpoint(self) -> None:
         """Refresh the per-shard replay baseline, trim the input log."""
-        for i, arrays in self._gather_pieces():
-            self._ckpt[i] = arrays
+        self._ckpt.update(self._gather_pieces())
         self._history.clear()
 
-    def _all_pieces(self) -> Dict[int, Dict]:
-        pieces = dict(self._gather_pieces())
-        for i in range(len(self.bounds)):
-            if i not in pieces:  # quarantined: frozen state
-                pieces[i] = self._ckpt[i]
-        return pieces
-
     def gather(self) -> Dict[str, object]:
-        pieces = self._all_pieces()
-        names = [name for name, _ in DYNAMIC_FIELDS]
-        arrays = self._assemble(list(pieces.items()), names)
+        arrays = self._assemble(self._gather_pieces(), _DYNAMIC_NAMES)
         state: Dict[str, object] = {
             "n_nodes": self.config.fleet.n_nodes}
-        for name in names:
+        for name in _DYNAMIC_NAMES:
             state[name] = arrays[name].tolist()
         return state
-
-    def gather_shards(self) -> List[Tuple[int, int, int, Dict]]:
-        """Per-shard ``(index, lo, hi, state)`` dynamics for snapshots."""
-        pieces = self._all_pieces()
-        return [
-            (i, lo, hi, {name: np.asarray(pieces[i][name],
-                                          dtype=dtype).tolist()
-                         for name, dtype in DYNAMIC_FIELDS})
-            for i, (lo, hi) in enumerate(self.bounds)]
 
     def load(self, state: Dict[str, object]) -> None:
         n = self.config.fleet.n_nodes
@@ -776,47 +667,14 @@ class _ProcessExecutor:
             self._ckpt[i] = {name: arrays[name][lo:hi].copy()
                              for name, _ in DYNAMIC_FIELDS}
         self._history.clear()
-        live = self._live_workers()
-        messages = {}
-        for worker in live:
-            messages[worker] = ("load", [
-                (i, self._ckpt[i]) for i in self._assignment[worker]])
-            self._send(worker, messages[worker])
-        for worker in live:
-            reply = self._collect(worker, messages[worker], [])
-            if reply is not None and reply[0] != "ok":
-                raise PersistenceError(
-                    f"fleet worker protocol error: {reply[0]!r}")
+        self._exchange(("restore", list(self._ckpt.items()), []), "ok", [])
 
     def close(self) -> None:
-        """Stop workers, escalating join → terminate → kill on hangs."""
-        for entry in self._workers:
-            if entry is None:
-                continue
-            process, conn = entry
-            if process.is_alive():
-                try:
-                    conn.send(("stop",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for worker, entry in enumerate(self._workers):
-            if entry is None:
-                continue
-            process, conn = entry
-            process.join(timeout=self.CLOSE_JOIN_TIMEOUT_S)
-            if process.is_alive():
-                logger.warning(
-                    "fleet worker %d ignored stop for %.0fs; "
-                    "terminating", worker, self.CLOSE_JOIN_TIMEOUT_S)
-                process.terminate()
-                process.join(timeout=self.CLOSE_JOIN_TIMEOUT_S / 2)
-            if process.is_alive():
-                logger.warning(
-                    "fleet worker %d survived terminate; killing",
-                    worker)
-                process.kill()
-                process.join()
-            conn.close()
+        """Stop every worker, then reap each with escalation."""
+        for handle in self._workers:
+            handle.send(("stop",))
+        for handle in self._workers:
+            handle.close(self.CLOSE_JOIN_TIMEOUT_S)
 
 
 # -- the campaign loop --------------------------------------------------------
@@ -841,7 +699,6 @@ class FleetCampaign:
     def __init__(self, config: FleetCampaignConfig, jobs: int = 1,
                  snapshot_dir=None,
                  snapshot_every_steps: Optional[int] = None,
-                 mp_context=None,
                  worker_timeout_s: float = 30.0,
                  max_worker_restarts: int = 2,
                  checkpoint_every_steps: Optional[int] = 25,
@@ -860,8 +717,7 @@ class FleetCampaign:
             self.executor = _InProcessExecutor(config)
         else:
             self.executor = _ProcessExecutor(
-                config, jobs, mp_context=mp_context,
-                worker_timeout_s=worker_timeout_s,
+                config, jobs, worker_timeout_s=worker_timeout_s,
                 max_worker_restarts=max_worker_restarts,
                 checkpoint_every_steps=checkpoint_every_steps,
                 kill_worker_at=kill_worker_at)
@@ -1137,6 +993,7 @@ class FleetCampaign:
         if self.store is None:
             raise PersistenceError(
                 "campaign was built without a snapshot directory")
+        dynamics = self.executor.gather()
         payload = {
             "config": self.config.as_dict(),
             "campaign": {
@@ -1157,8 +1014,9 @@ class FleetCampaign:
             "fleet": {
                 "n_nodes": self.config.fleet.n_nodes,
                 "shards": shard_entries(
-                    (lo, hi, state) for _i, lo, hi, state
-                    in self.executor.gather_shards()),
+                    (lo, hi, {name: dynamics[name][lo:hi]
+                              for name in _DYNAMIC_NAMES})
+                    for lo, hi in self.executor.bounds),
             },
         }
         self.store.save(self.step_index, payload)
@@ -1246,15 +1104,11 @@ class FleetCampaign:
             self._account_sla(t)
             want_sample = ((t + 1) % telemetry_every == 0
                            or t == n_steps - 1)
-            if want_sample and isinstance(self.executor,
-                                          _ProcessExecutor):
-                arrays = self.executor.step_and_sample(t, self._used)
+            if want_sample:
+                self._record_sample(
+                    t, self.executor.step_and_sample(t, self._used))
             else:
                 self.executor.step(t, self._used)
-                arrays = (self.executor.sample()
-                          if want_sample else None)
-            if want_sample and arrays is not None:
-                self._record_sample(t, arrays)
             self.step_index = t + 1
             if (self.store is not None
                     and self.snapshot_every_steps is not None
@@ -1370,7 +1224,6 @@ def run_fleet_campaign(config: FleetCampaignConfig, jobs: int = 1,
                        snapshot_dir=None,
                        snapshot_every_steps: Optional[int] = None,
                        resume: bool = False,
-                       mp_context=None,
                        worker_timeout_s: float = 30.0,
                        max_worker_restarts: int = 2,
                        checkpoint_every_steps: Optional[int] = 25,
@@ -1380,7 +1233,7 @@ def run_fleet_campaign(config: FleetCampaignConfig, jobs: int = 1,
     campaign = FleetCampaign(
         config, jobs=jobs, snapshot_dir=snapshot_dir,
         snapshot_every_steps=snapshot_every_steps,
-        mp_context=mp_context, worker_timeout_s=worker_timeout_s,
+        worker_timeout_s=worker_timeout_s,
         max_worker_restarts=max_worker_restarts,
         checkpoint_every_steps=checkpoint_every_steps,
         kill_worker_at=kill_worker_at)

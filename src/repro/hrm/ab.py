@@ -23,13 +23,14 @@ per-node rows in node order and sums with ``math.fsum``.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.exceptions import ConfigurationError
+from ..core.exceptions import ConfigurationError, WorkerError
+from ..core.workers import farm
 from ..fleet.state import shard_bounds
 from ..fleet.vectors import counter_uniform, splitmix64
 from ..hardware.dram import (
@@ -195,10 +196,11 @@ def evaluate_node(config: HrmConfig, arm: str,
     }
 
 
-def _evaluate_chunk(config_state: Dict[str, object], lo: int,
-                    hi: int) -> List[Dict[str, object]]:
+def _evaluate_chunk(config_state: Dict[str, object],
+                    bounds: Tuple[int, int]) -> List[Dict[str, object]]:
     """Worker entry point: all arms for nodes ``[lo, hi)``."""
     config = HrmConfig.from_dict(config_state)
+    lo, hi = bounds
     return [
         {"node": node,
          "arms": {arm: evaluate_node(config, arm, node)
@@ -242,13 +244,15 @@ def run_hrm_ab(config: HrmConfig, jobs: int = 1) -> Dict[str, object]:
         raise ConfigurationError("jobs must be >= 1")
     state = config.as_dict()
     bounds = shard_bounds(config.n_nodes, min(jobs, config.n_nodes))
-    if jobs == 1 or len(bounds) == 1:
-        chunks = [_evaluate_chunk(state, lo, hi) for lo, hi in bounds]
+    if len(bounds) == 1:
+        chunks = [_evaluate_chunk(state, bounds[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
-            futures = [pool.submit(_evaluate_chunk, state, lo, hi)
-                       for lo, hi in bounds]
-            chunks = [f.result() for f in futures]
+        chunks = []
+        for attempt in farm(partial(_evaluate_chunk, state), bounds,
+                            jobs=len(bounds)):
+            if attempt.error is not None:
+                raise WorkerError(f"hrm chunk {attempt.error}")
+            chunks.append(attempt.result)
     rows = [row for chunk in chunks for row in chunk]
     arms = {arm: _aggregate_arm(config, arm, rows) for arm in HRM_ARMS}
     tiered = arms["tiered"]

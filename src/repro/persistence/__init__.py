@@ -20,6 +20,7 @@ from .snapshot import (
     payload_checksum,
     shard_entries,
     verify_shard_entries,
+    write_canonical,
 )
 
 __all__ = [
@@ -34,4 +35,5 @@ __all__ = [
     "run_persistent_campaign",
     "shard_entries",
     "verify_shard_entries",
+    "write_canonical",
 ]

@@ -57,6 +57,14 @@ def canonical_json(payload: object) -> str:
                       default=_coerce)
 
 
+def write_canonical(path, payload: object) -> None:
+    """Write ``payload`` to ``path`` as canonical JSON plus a newline —
+    the form of every ``--report-json`` file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(canonical_json(payload))
+        handle.write("\n")
+
+
 def payload_checksum(payload: object) -> str:
     """SHA-256 over the canonical JSON form of ``payload``."""
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

@@ -13,7 +13,6 @@ from .engine import (
     SweepSpec,
     SweepTask,
     campaign_result_from_row,
-    default_mp_context,
     run_sweep,
     run_sweep_task,
 )
@@ -27,7 +26,6 @@ from .report import (
     report_digest,
     summarize,
     sweep_report,
-    write_report,
 )
 
 __all__ = [
@@ -39,7 +37,6 @@ __all__ = [
     "SweepSpec",
     "SweepTask",
     "campaign_result_from_row",
-    "default_mp_context",
     "harvest_observations",
     "harvest_report",
     "report_digest",
@@ -47,5 +44,4 @@ __all__ = [
     "run_sweep_task",
     "summarize",
     "sweep_report",
-    "write_report",
 ]

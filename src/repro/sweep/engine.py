@@ -16,12 +16,13 @@ stack already provides:
   sweeps produce *byte-identical* aggregate reports (the regression the
   scaling bench enforces).
 
-Workers are shared-nothing subprocesses: each receives one picklable
+Workers are shared-nothing subprocesses from the shared
+:func:`~repro.core.workers.farm`: each receives one picklable
 :class:`SweepTask`, rebuilds the campaign world from config, and sends
 back one picklable :class:`SweepRow` (the ``experiment`` drill-down
 handle is stripped from :class:`~repro.resilience.campaign.CampaignResult`
-before it crosses the process boundary).  The parent retries crashed
-workers a bounded number of times and records permanent failures as
+before it crosses the process boundary).  Crashed workers and error
+rows are retried a bounded number of times; permanent failures become
 rows rather than aborting the sweep.
 
 On platforms with ``fork`` the workers inherit the parent's interpreter
@@ -33,20 +34,12 @@ seeds hash VM names), exactly as the kill/resume bench already does.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
-from multiprocessing.connection import wait as _connection_wait
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError
+from ..core.workers import Attempt, farm
 from ..persistence.campaign import CampaignConfig
 
 #: CLI-friendly grid axis name -> (CampaignConfig field, coercion).
@@ -306,42 +299,18 @@ def run_sweep_task(task: SweepTask) -> SweepRow:
                     harvest=harvest)
 
 
-def _worker_main(worker: Callable[[SweepTask], SweepRow],
-                 task: SweepTask, conn) -> None:
-    """Subprocess entry: run one task, ship the row back, exit."""
-    row = worker(task)
-    conn.send(row)
-    conn.close()
-
-
-def default_mp_context():
-    """Prefer ``fork`` (workers inherit interpreter configuration, so
-    jobs-1 and jobs-N agree byte-for-byte); fall back to ``spawn``.
-
-    Shared by the sweep engine and the fleet campaign executor — any
-    shared-nothing worker pool in the repo should start workers the
-    same way for the same determinism argument.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
-
-
-#: Backwards-compatible private alias.
-_default_context = default_mp_context
-
-
 def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
               progress: Optional[Callable[[str], None]] = None,
               worker: Callable[[SweepTask], SweepRow] = run_sweep_task,
-              mp_context=None) -> SweepResult:
+              ) -> SweepResult:
     """Run every task of ``spec`` across ``jobs`` worker subprocesses.
 
-    All tasks — even at ``jobs=1`` — run in worker subprocesses, so the
-    serial and parallel paths are numerically the same code.  A worker
-    that crashes (dies without shipping a row) or ships an ``ok=False``
-    row is retried up to ``max_retries`` times; a task still failing
-    after that is recorded as a failure row and the sweep continues.
+    All tasks — even at ``jobs=1`` — run in fresh worker subprocesses
+    (:func:`~repro.core.workers.farm`), so the serial and parallel
+    paths are numerically the same code.  A worker that crashes (dies
+    without shipping a row) or ships an ``ok=False`` row is retried up
+    to ``max_retries`` times; a task still failing after that is
+    recorded as a failure row and the sweep continues.
 
     Rows come back in task order regardless of completion order, which
     is what makes the aggregate report independent of ``jobs``.
@@ -351,66 +320,37 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, max_retries: int = 1,
     if max_retries < 0:
         raise ConfigurationError("max_retries must be >= 0")
     tasks = spec.expand()
-    ctx = mp_context if mp_context is not None else _default_context()
+    finished = 0
 
-    pending = deque(tasks)
-    attempts: Dict[int, int] = {task.index: 0 for task in tasks}
-    rows: Dict[int, SweepRow] = {}
-    running: Dict[int, Tuple[object, object, SweepTask]] = {}
-    total = len(tasks)
+    def _note(index: int, attempt: Attempt, retrying: bool) -> None:
+        nonlocal finished
+        task, row = tasks[index], attempt.result
+        label = f"{task.point} seed={task.seed}"
+        error = attempt.error or row.error
+        if retrying:
+            progress(f"[retry {attempt.attempts}/{max_retries + 1}] "
+                     f"{label}: {error}")
+            return
+        finished += 1
+        status = (f"ok availability="
+                  f"{row.result['fleet_availability']:.4f} "
+                  f"(attempt {attempt.attempts})"
+                  if attempt.error is None and row.ok else
+                  f"FAILED after {attempt.attempts} attempts: {error}")
+        progress(f"[{finished}/{len(tasks)}] {label} {status}")
 
-    def _note(line: str) -> None:
-        if progress is not None:
-            progress(line)
-
-    def _launch(task: SweepTask) -> None:
-        receiver, sender = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_worker_main,
-                              args=(worker, task, sender), daemon=True)
-        attempts[task.index] += 1
-        process.start()
-        sender.close()
-        running[task.index] = (process, receiver, task)
-
-    while pending or running:
-        while pending and len(running) < jobs:
-            _launch(pending.popleft())
-        _connection_wait([conn for _, conn, _ in running.values()],
-                         timeout=0.25)
-        for index, (process, conn, task) in list(running.items()):
-            row: Optional[SweepRow] = None
-            if conn.poll():
-                try:
-                    row = conn.recv()
-                except (EOFError, OSError):
-                    row = None
-            elif process.is_alive():
-                continue
-            process.join()
-            conn.close()
-            del running[index]
-            if row is not None and row.ok:
-                row.attempts = attempts[index]
-                rows[index] = row
-                availability = (row.result or {}).get(
-                    "fleet_availability")
-                _note(f"[{len(rows)}/{total}] {task.point} "
-                      f"seed={task.seed} ok "
-                      f"availability={availability:.4f} "
-                      f"(attempt {row.attempts})")
-                continue
-            error = (row.error if row is not None else
-                     f"worker crashed (exit code {process.exitcode})")
-            if attempts[index] <= max_retries:
-                _note(f"[retry {attempts[index]}/{max_retries + 1}] "
-                      f"{task.point} seed={task.seed}: {error}")
-                pending.append(task)
-            else:
-                rows[index] = SweepRow(
-                    index=index, point=task.point, seed=task.seed,
-                    ok=False, attempts=attempts[index], error=error)
-                _note(f"[{len(rows)}/{total}] {task.point} "
-                      f"seed={task.seed} FAILED after "
-                      f"{attempts[index]} attempts: {error}")
-    return SweepResult(spec=spec,
-                       rows=[rows[task.index] for task in tasks])
+    attempts = farm(worker, tasks, jobs=jobs, max_retries=max_retries,
+                    ok=lambda row: row.ok,
+                    on_attempt=_note if progress is not None else None)
+    rows = []
+    for task, attempt in zip(tasks, attempts):
+        row = attempt.result
+        if attempt.error is None and row.ok:
+            row.attempts = attempt.attempts
+        else:
+            row = SweepRow(index=task.index, point=task.point,
+                           seed=task.seed, ok=False,
+                           attempts=attempt.attempts,
+                           error=attempt.error or row.error)
+        rows.append(row)
+    return SweepResult(spec=spec, rows=rows)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..core.runtime import HistogramStats
-from ..persistence import canonical_json, payload_checksum
+from ..persistence import payload_checksum
 from .engine import SweepResult, SweepRow
 
 #: CampaignResult fields summarized per grid point.  ``mttr_s`` may be
@@ -75,10 +75,3 @@ def sweep_report(result: SweepResult) -> Dict[str, object]:
 def report_digest(report: Dict[str, object]) -> str:
     """SHA-256 over the canonical-JSON form of a report."""
     return payload_checksum(report)
-
-
-def write_report(path, report: Dict[str, object]) -> None:
-    """Write a report as canonical JSON (newline-terminated)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(canonical_json(report))
-        handle.write("\n")

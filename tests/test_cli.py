@@ -39,6 +39,15 @@ class TestParser:
         assert args.jobs == 1
         assert args.max_retries == 1
 
+    def test_hrm_reads_the_global_seed(self, capsys, tmp_path):
+        assert build_parser().parse_args(["--seed", "5", "hrm"]).seed == 5
+        report_path = tmp_path / "hrm.json"
+        assert main(["--seed", "5", "hrm", "--nodes", "2",
+                     "--report-json", str(report_path)]) == 0
+        import json
+
+        assert json.loads(report_path.read_text())["config"]["seed"] == 5
+
     def test_chaos_accepts_jobs(self):
         args = build_parser().parse_args(["chaos", "--jobs", "2"])
         assert args.jobs == 2

@@ -94,7 +94,7 @@ class TestWedgedWorker:
                                  max_worker_restarts=2)
         try:
             campaign.run(until_step=5)
-            process, _conn = campaign.executor._workers[0]
+            process = campaign.executor._workers[0].process
             os.kill(process.pid, signal.SIGSTOP)
             campaign.run()
             report = campaign.report()
@@ -135,7 +135,7 @@ class TestCloseEscalation:
         executor = campaign.executor
         executor.CLOSE_JOIN_TIMEOUT_S = 0.5  # shadow the class attr
         campaign.run(until_step=3)
-        processes = [entry[0] for entry in executor._workers]
+        processes = [worker.process for worker in executor._workers]
         # A SIGSTOPped worker ignores both "stop" and SIGTERM; close()
         # must escalate to SIGKILL instead of hanging.
         os.kill(processes[0].pid, signal.SIGSTOP)
@@ -146,8 +146,8 @@ class TestCloseEscalation:
     def test_close_joins_cooperative_workers(self):
         campaign = FleetCampaign(small_config(), jobs=2)
         campaign.run(until_step=3)
-        processes = [entry[0]
-                     for entry in campaign.executor._workers]
+        processes = [worker.process
+                     for worker in campaign.executor._workers]
         campaign.close()
         for process in processes:
             assert not process.is_alive()

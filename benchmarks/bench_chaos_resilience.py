@@ -23,8 +23,8 @@ import os
 from conftest import run_once
 
 from repro.analysis import render_table
-from repro.persistence import StateAuditor
-from repro.resilience import run_chaos_ab, run_chaos_campaign
+from repro.persistence import CampaignConfig, PersistentCampaign, StateAuditor
+from repro.resilience import run_chaos_ab
 
 NODES = int(os.environ.get("CHAOS_BENCH_NODES", "4"))
 DURATION_S = float(os.environ.get("CHAOS_BENCH_DURATION", "3600"))
@@ -98,15 +98,13 @@ def test_chaos_policies_ab(benchmark, emit):
 
 
 def test_chaos_campaign_is_reproducible(benchmark, emit):
-    duration = min(DURATION_S, 1800.0)
+    config = CampaignConfig(
+        n_nodes=NODES, duration_s=min(DURATION_S, 1800.0), seed=SEED,
+        rate_per_hour=RATE_PER_HOUR, intensity=INTENSITY)
 
     def twice():
-        first = run_chaos_campaign(
-            n_nodes=NODES, duration_s=duration, seed=SEED,
-            rate_per_hour=RATE_PER_HOUR, intensity=INTENSITY)
-        second = run_chaos_campaign(
-            n_nodes=NODES, duration_s=duration, seed=SEED,
-            rate_per_hour=RATE_PER_HOUR, intensity=INTENSITY)
+        first = PersistentCampaign(config).run()
+        second = PersistentCampaign(config).run()
         return first, second
 
     first, second = run_once(benchmark, twice)

@@ -211,7 +211,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_chaos_report(path: str, result, cloud) -> None:
+def _write_chaos_report(path: str, result) -> None:
     """Machine-readable campaign report for the kill/resume harness.
 
     Canonical-JSON form, so two bit-identical campaigns produce
@@ -227,33 +227,49 @@ def _write_chaos_report(path: str, result, cloud) -> None:
     payload.pop("experiment", None)
     write_canonical(path, {
         "result": payload,
-        "metrics_sha256": payload_checksum(cloud.metrics_snapshot()),
+        "metrics_sha256": payload_checksum(
+            result.experiment.metrics_snapshot()),
     })
 
 
-def _cmd_chaos_persistent(args: argparse.Namespace) -> int:
-    """The crash-safe single-arm path (--snapshot-dir / --resume)."""
+def _cmd_chaos(args: argparse.Namespace) -> int:
     from .persistence import (
         CampaignConfig,
         PersistentCampaign,
         StateAuditor,
     )
+    from .resilience import FaultPlan, run_chaos_ab
 
+    if args.resume and not args.snapshot_dir:
+        print("error: --resume needs --snapshot-dir", file=sys.stderr)
+        return 2
+    if args.policies == "both" and not args.resume:
+        if args.snapshot_dir:
+            print("error: --snapshot-dir runs a single campaign arm; "
+                  "pass --policies on or --policies off", file=sys.stderr)
+            return 2
+        plan = FaultPlan.random(
+            [f"node{i}" for i in range(args.nodes)], args.duration,
+            rate_per_hour=args.rate, seed=args.seed,
+            intensity=args.intensity)
+        if args.verbose:
+            print("fault plan:")
+            print(plan.describe())
+            print()
+        comparison = run_chaos_ab(
+            n_nodes=args.nodes, duration_s=args.duration,
+            seed=args.seed, plan=plan, jobs=args.jobs)
+        print(comparison.describe())
+        # Exit nonzero only if the ladder actively lost availability.
+        return 0 if comparison.availability_gain >= 0 else 1
     auditor = StateAuditor(strict=args.strict_audit)
     if args.resume:
         # The campaign arm comes from the config embedded in the
         # snapshot; --policies is ignored on resume.
-        if not args.snapshot_dir:
-            print("error: --resume needs --snapshot-dir", file=sys.stderr)
-            return 2
         campaign = PersistentCampaign.resume(
             args.snapshot_dir, snapshot_every_s=args.snapshot_every,
             auditor=auditor)
     else:
-        if args.policies == "both":
-            print("error: --snapshot-dir runs a single campaign arm; "
-                  "pass --policies on or --policies off", file=sys.stderr)
-            return 2
         config = CampaignConfig(
             n_nodes=args.nodes, duration_s=args.duration, seed=args.seed,
             policies=args.policies, rate_per_hour=args.rate,
@@ -276,69 +292,22 @@ def _cmd_chaos_persistent(args: argparse.Namespace) -> int:
         print(f"auditor: {auditor.violation_count} invariant "
               "violation(s)", file=sys.stderr)
     if args.report_json:
-        _write_chaos_report(args.report_json, result, campaign.cloud)
+        _write_chaos_report(args.report_json, result)
     return 0 if not auditor.violation_count else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .resilience import (
-        DegradationConfig,
-        FaultPlan,
-        run_chaos_ab,
-        run_chaos_campaign,
-    )
-
-    if args.snapshot_dir or args.resume:
-        return _cmd_chaos_persistent(args)
-    plan = FaultPlan.random(
-        [f"node{i}" for i in range(args.nodes)], args.duration,
-        rate_per_hour=args.rate, seed=args.seed,
-        intensity=args.intensity)
-    if args.verbose:
-        print("fault plan:")
-        print(plan.describe())
-        print()
-    if args.policies == "both":
-        comparison = run_chaos_ab(
-            n_nodes=args.nodes, duration_s=args.duration,
-            seed=args.seed, plan=plan, jobs=args.jobs)
-        print(comparison.describe())
-        # Exit nonzero only if the ladder actively lost availability.
-        return 0 if comparison.availability_gain >= 0 else 1
-    degradation = (DegradationConfig.on() if args.policies == "on"
-                   else DegradationConfig.off())
-    result = run_chaos_campaign(
-        n_nodes=args.nodes, duration_s=args.duration, seed=args.seed,
-        plan=plan, degradation=degradation,
-        label=f"policies-{args.policies}")
-    print(result.describe())
-    print("injections: " + (
-        ", ".join(f"{kind}={count}" for kind, count
-                  in sorted(result.injections.items()))
-        or "none"))
-    if args.report_json:
-        _write_chaos_report(args.report_json, result,
-                            result.experiment.cloud)
-    return 0
 
 
 def _cmd_eop(args: argparse.Namespace) -> int:
     from .analysis import render_table
-    from .core.exceptions import ConfigurationError
     from .eop import EOPCampaignConfig, ErrorInjection, run_eop_campaign
 
-    try:
-        injections = tuple(ErrorInjection.parse(spec)
-                           for spec in args.inject or [])
-        config = EOPCampaignConfig(
-            duration_s=args.duration, step_s=args.step, seed=args.seed,
-            policy=args.policy, n_vms=args.vms,
-            error_budget=args.error_budget, probation_s=args.probation,
-            injections=injections)
-        config.build_policy()  # surface bad policy names before the run
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    injections = tuple(ErrorInjection.parse(spec)
+                       for spec in args.inject or [])
+    config = EOPCampaignConfig(
+        duration_s=args.duration, step_s=args.step, seed=args.seed,
+        policy=args.policy, n_vms=args.vms,
+        error_budget=args.error_budget, probation_s=args.probation,
+        injections=injections)
+    config.build_policy()  # surface bad policy names before the run
     result = run_eop_campaign(config)
     print(result.describe())
     print()
@@ -374,8 +343,11 @@ def _parse_seeds(text: str):
         if not item:
             continue
         if ":" in item:
-            lo, hi = item.split(":", 1)
-            seeds.extend(range(int(lo), int(hi)))
+            lo, hi = (int(bound) for bound in item.split(":", 1))
+            if lo >= hi:
+                raise ValueError(f"empty seed range {item!r}: a range "
+                                 "lo:hi needs lo < hi")
+            seeds.extend(range(lo, hi))
         else:
             seeds.append(int(item))
     if not seeds:
@@ -1034,6 +1006,8 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .core.exceptions import ConfigurationError
+
     args = build_parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     # Seed defaults: figure4/population use the bench seeds for
@@ -1046,7 +1020,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.seed = 11 if args.chip == "i5" else 22
     if args.command == "refresh" and args.seed == 0:
         args.seed = 5
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

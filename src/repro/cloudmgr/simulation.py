@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..hypervisor.vm import VirtualMachine
-from ..workloads.traces import ArrivalEvent, TraceGenerator
+from ..workloads.traces import ArrivalEvent, TraceConfig, TraceGenerator
 from .cloud import CloudController
 from .sla import BRONZE, GOLD, SILVER, SLA
 
@@ -198,8 +198,6 @@ def run_trace_experiment(cloud: CloudController, duration_s: float,
                          base_rate_per_hour: float = 12.0,
                          step_s: float = 60.0) -> SimulationStats:
     """Convenience: generate a trace and run it through a controller."""
-    from ..workloads.traces import TraceConfig
-
     generator = TraceGenerator(
         TraceConfig(base_rate_per_hour=base_rate_per_hour),
         seed=trace_seed)
@@ -220,23 +218,29 @@ class RackExperiment:
         return self.cloud.metrics_snapshot()
 
 
-def run_rack_experiment(n_nodes: int = 4, duration_s: float = 3600.0,
-                        seed: int = 0,
-                        characterize: bool = False,
-                        eop_policy=None,
-                        proactive_migration: bool = True,
-                        base_rate_per_hour: float = 12.0,
-                        step_s: float = 60.0,
-                        degradation=None,
-                        fault_plan=None,
-                        scheduler=None,
-                        predictor=None) -> RackExperiment:
-    """One fully seeded rack run: N full UniServer nodes, one clock.
+def build_rack_simulation(n_nodes: int = 4, duration_s: float = 3600.0,
+                          seed: int = 0,
+                          characterize: bool = False,
+                          eop_policy=None,
+                          proactive_migration: bool = True,
+                          base_rate_per_hour: float = 12.0,
+                          step_s: float = 60.0,
+                          degradation=None,
+                          fault_plan=None,
+                          scheduler=None,
+                          predictor=None) -> TraceDrivenSimulation:
+    """One fully seeded rack world, built but not yet stepped.
 
-    Everything stochastic — per-node fault draws, the arrival trace,
-    any chaos injections — derives from the single ``seed``, so the run
-    is reproducible bit-for-bit: placements, migrations and the metrics
-    snapshot are identical across same-seed invocations.
+    N full UniServer nodes share one clock under a
+    :class:`CloudController`, fed the arrival trace drawn for the
+    ``duration_s`` window.  Everything stochastic — per-node fault
+    draws, the arrival trace, any chaos injections — derives from the
+    single ``seed``, so the run is reproducible bit-for-bit: placements,
+    migrations and the metrics snapshot are identical across same-seed
+    invocations.  This is the one place the object-stack rack world is
+    composed; :func:`run_rack_experiment` runs it to the end, and the
+    crash-safe :class:`~repro.persistence.campaign.PersistentCampaign`
+    steps it.
 
     ``degradation`` (a :class:`~repro.resilience.policies.DegradationConfig`)
     tunes the controller's graceful-degradation ladder; ``fault_plan``
@@ -267,7 +271,31 @@ def run_rack_experiment(n_nodes: int = 4, duration_s: float = 3600.0,
                             proactive_migration=proactive_migration,
                             degradation=degradation,
                             chaos=chaos, control_seed=seed)
-    stats = run_trace_experiment(
-        cloud, duration_s, trace_seed=seed,
-        base_rate_per_hour=base_rate_per_hour, step_s=step_s)
-    return RackExperiment(cloud=cloud, stats=stats)
+    generator = TraceGenerator(
+        TraceConfig(base_rate_per_hour=base_rate_per_hour), seed=seed)
+    return TraceDrivenSimulation(cloud, generator.generate(duration_s),
+                                 step_s=step_s)
+
+
+def run_rack_experiment(n_nodes: int = 4, duration_s: float = 3600.0,
+                        seed: int = 0,
+                        characterize: bool = False,
+                        eop_policy=None,
+                        proactive_migration: bool = True,
+                        base_rate_per_hour: float = 12.0,
+                        step_s: float = 60.0,
+                        degradation=None,
+                        fault_plan=None,
+                        scheduler=None,
+                        predictor=None) -> RackExperiment:
+    """One fully seeded rack run: :func:`build_rack_simulation`, run
+    over its whole ``duration_s`` window."""
+    simulation = build_rack_simulation(
+        n_nodes=n_nodes, duration_s=duration_s, seed=seed,
+        characterize=characterize, eop_policy=eop_policy,
+        proactive_migration=proactive_migration,
+        base_rate_per_hour=base_rate_per_hour, step_s=step_s,
+        degradation=degradation, fault_plan=fault_plan,
+        scheduler=scheduler, predictor=predictor)
+    stats = simulation.run(duration_s)
+    return RackExperiment(cloud=simulation.cloud, stats=stats)

@@ -7,11 +7,7 @@ step journal (:class:`Journal`), cross-layer invariant auditing
 """
 
 from .auditor import StateAuditor
-from .campaign import (
-    CampaignConfig,
-    PersistentCampaign,
-    run_persistent_campaign,
-)
+from .campaign import CampaignConfig, PersistentCampaign
 from .snapshot import (
     SNAPSHOT_VERSION,
     Journal,
@@ -32,7 +28,6 @@ __all__ = [
     "StateAuditor",
     "canonical_json",
     "payload_checksum",
-    "run_persistent_campaign",
     "shard_entries",
     "verify_shard_entries",
     "write_canonical",

@@ -1,9 +1,11 @@
 """The crash-safe campaign runtime: build, snapshot, kill, resume.
 
-A :class:`PersistentCampaign` wraps one chaos campaign (the same world
-:func:`~repro.resilience.campaign.run_chaos_campaign` builds) behind an
-explicit step loop with durable snapshots and a write-ahead journal.
-The determinism contract of the simulator does the heavy lifting:
+A :class:`PersistentCampaign` is the one way a rack chaos campaign runs.
+It steps the world :func:`~repro.cloudmgr.simulation.build_rack_simulation`
+builds in an explicit loop.  With a snapshot directory every step is
+journalled and the world is snapshotted on a cadence; without one the
+same loop runs in memory.  The determinism contract of the simulator
+does the heavy lifting:
 
 * construction is a pure function of :class:`CampaignConfig` (the rack,
   the arrival trace, the fault plan all derive from the seed), so a
@@ -25,15 +27,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..core.clock import SimClock
 from ..core.exceptions import ConfigurationError, PersistenceError
 from ..hypervisor.vm import VirtualMachine
 from ..resilience.campaign import CampaignResult
-from ..resilience.chaos import ChaosEngine, FaultPlan
+from ..resilience.chaos import FaultPlan
 from ..resilience.policies import DegradationConfig
-from ..workloads.traces import TraceConfig, TraceGenerator
 from .auditor import StateAuditor
 from .snapshot import Journal, SnapshotStore, payload_checksum
 
@@ -94,7 +94,8 @@ class CampaignConfig:
 
 
 class PersistentCampaign:
-    """One chaos campaign with durable snapshots and journalled steps."""
+    """One rack chaos campaign; with a ``snapshot_dir``, its steps are
+    journalled and its world is snapshotted durably."""
 
     def __init__(self, config: CampaignConfig,
                  snapshot_dir=None,
@@ -119,28 +120,20 @@ class PersistentCampaign:
 
     def _build(self) -> None:
         """Deterministically rebuild the campaign world from config."""
-        from ..cloudmgr.cloud import CloudController
-        from ..cloudmgr.node import build_rack
-        from ..cloudmgr.simulation import TraceDrivenSimulation
+        from ..cloudmgr.simulation import build_rack_simulation
 
         config = self.config
         self.plan = FaultPlan.from_dict(config.plan)  # type: ignore[arg-type]
-        self.clock = SimClock()
-        nodes = build_rack(config.n_nodes, clock=self.clock,
-                           seed=config.seed)
-        self.chaos = ChaosEngine(self.plan)
         degradation = (DegradationConfig.on() if config.policies == "on"
                        else DegradationConfig.off())
-        self.cloud = CloudController(
-            self.clock, nodes, degradation=degradation,
-            chaos=self.chaos, control_seed=config.seed)
-        generator = TraceGenerator(
-            TraceConfig(base_rate_per_hour=config.base_rate_per_hour),
-            seed=config.seed)
-        self.events = generator.generate(config.duration_s)
-        self.simulation = TraceDrivenSimulation(
-            self.cloud, self.events, step_s=config.step_s)
-        self._events_by_name = {e.vm_name: e for e in self.events}
+        self.simulation = build_rack_simulation(
+            n_nodes=config.n_nodes, duration_s=config.duration_s,
+            seed=config.seed, base_rate_per_hour=config.base_rate_per_hour,
+            step_s=config.step_s, degradation=degradation,
+            fault_plan=self.plan)
+        self.cloud = self.simulation.cloud
+        self.clock = self.cloud.clock
+        self._events_by_name = {e.vm_name: e for e in self.simulation.events}
 
     def _vm_factory(self, name: str) -> VirtualMachine:
         """Rebuild the named VM shell exactly as admission created it."""
@@ -245,7 +238,8 @@ class PersistentCampaign:
         return self.result()
 
     def result(self) -> CampaignResult:
-        """The same reduction :func:`run_chaos_campaign` performs."""
+        """The campaign reduced to its headline numbers (the one
+        :class:`CampaignResult` reduction of a rack chaos campaign)."""
         from ..cloudmgr.simulation import RackExperiment
 
         config = self.config
@@ -268,7 +262,7 @@ class PersistentCampaign:
             admitted=self.simulation.stats.admitted,
             rejected=self.simulation.stats.rejected,
             completed=cloud.stats.completed,
-            injections=dict(self.chaos.injections),
+            injections=dict(cloud.chaos.injections),
             experiment=experiment,
         )
 
@@ -334,22 +328,3 @@ class PersistentCampaign:
         if commits:
             logger.info("replayed %d journalled step(s) after restore",
                         len(commits))
-
-
-def run_persistent_campaign(config: CampaignConfig,
-                            snapshot_dir=None,
-                            snapshot_every_s: float = 600.0,
-                            auditor: Optional[StateAuditor] = None,
-                            resume: bool = False) -> CampaignResult:
-    """Convenience wrapper: fresh run or resume, to completion."""
-    if resume:
-        if snapshot_dir is None:
-            raise ConfigurationError("resume needs a snapshot directory")
-        campaign = PersistentCampaign.resume(
-            snapshot_dir, snapshot_every_s=snapshot_every_s,
-            auditor=auditor)
-    else:
-        campaign = PersistentCampaign(
-            config, snapshot_dir=snapshot_dir,
-            snapshot_every_s=snapshot_every_s, auditor=auditor)
-    return campaign.run()

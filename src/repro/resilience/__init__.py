@@ -7,16 +7,11 @@ telemetry loss and corruption, heartbeat partitions, mid-flight
 migration aborts, crash loops, stuck recoveries), the heartbeat-based
 :class:`NodeHealthView` the controller acts on instead of ground truth,
 the :class:`RetryPolicy`/:class:`CircuitBreaker` degradation primitives,
-and the campaign runner behind ``repro chaos`` and
+and the policies A/B behind ``repro chaos`` and
 ``benchmarks/bench_chaos_resilience.py``.
 """
 
-from .campaign import (
-    CampaignComparison,
-    CampaignResult,
-    run_chaos_ab,
-    run_chaos_campaign,
-)
+from .campaign import CampaignComparison, CampaignResult, run_chaos_ab
 from .chaos import ChaosEngine, FaultKind, FaultPlan, FaultSpec
 from .health import Heartbeat, NodeHealthView, NodeStatus, NodeView
 from .policies import (
@@ -28,7 +23,6 @@ from .policies import (
 
 __all__ = [
     "CampaignComparison", "CampaignResult", "run_chaos_ab",
-    "run_chaos_campaign",
     "ChaosEngine", "FaultKind", "FaultPlan", "FaultSpec",
     "Heartbeat", "NodeHealthView", "NodeStatus", "NodeView",
     "BreakerState", "CircuitBreaker", "DegradationConfig", "RetryPolicy",

@@ -3,12 +3,15 @@
 A *campaign* is one trace-driven rack run with a :class:`FaultPlan`
 replayed against it by a :class:`ChaosEngine`, reduced to the headline
 resilience numbers: fleet availability, SLA violations, MTTR (mean VM
-service-restoration time) and evacuation success rate.  The A/B runner
-replays the *same* plan twice — once with the full degradation ladder
-(:meth:`DegradationConfig.on`), once with a naive controller
-(:meth:`DegradationConfig.off`) — which is the paper-style demonstration
-that graceful degradation recovers most of the availability a lying,
-lossy, failing control path takes away.
+service-restoration time) and evacuation success rate.  Every campaign
+runs through :class:`~repro.persistence.campaign.PersistentCampaign`,
+with or without a snapshot store; this module holds the result type
+and the A/B runner.  The A/B runner replays the *same* plan twice —
+once with the full degradation ladder (:meth:`DegradationConfig.on`),
+once with a naive controller (:meth:`DegradationConfig.off`) — which
+is the paper-style demonstration that graceful degradation recovers
+most of the availability a lying, lossy, failing control path takes
+away.
 
 Everything derives from one seed, so campaigns replay bit-for-bit.
 """
@@ -20,10 +23,10 @@ from typing import Dict, Optional, TYPE_CHECKING
 
 from ..core.exceptions import ConfigurationError
 from .chaos import FaultPlan
-from .policies import DegradationConfig
 
-if TYPE_CHECKING:  # runtime import is lazy: cloudmgr imports us
+if TYPE_CHECKING:  # runtime imports are lazy: both import us
     from ..cloudmgr.simulation import RackExperiment
+    from ..persistence.campaign import CampaignConfig
 
 
 @dataclass
@@ -73,56 +76,6 @@ class CampaignResult:
         ])
 
 
-def run_chaos_campaign(n_nodes: int = 4, duration_s: float = 3600.0,
-                       seed: int = 0, rate_per_hour: float = 6.0,
-                       intensity: float = 0.6,
-                       plan: Optional[FaultPlan] = None,
-                       degradation: Optional[DegradationConfig] = None,
-                       base_rate_per_hour: float = 12.0,
-                       step_s: float = 60.0,
-                       label: str = "policies-on") -> CampaignResult:
-    """One seeded chaos campaign over a trace-driven rack.
-
-    With no explicit ``plan``, a reproducible one is drawn from the
-    seed via :meth:`FaultPlan.random`.  All stochasticity — the rack's
-    hardware, the arrival trace, the fault draws — hangs off ``seed``,
-    so same-seed campaigns replay bit-for-bit.
-    """
-    from ..cloudmgr.simulation import run_rack_experiment
-
-    if n_nodes < 2:
-        raise ConfigurationError(
-            "a chaos campaign needs at least two nodes to fail over to")
-    if plan is None:
-        plan = FaultPlan.random(
-            [f"node{i}" for i in range(n_nodes)], duration_s,
-            rate_per_hour=rate_per_hour, seed=seed, intensity=intensity)
-    experiment = run_rack_experiment(
-        n_nodes=n_nodes, duration_s=duration_s, seed=seed,
-        degradation=degradation, fault_plan=plan,
-        base_rate_per_hour=base_rate_per_hour, step_s=step_s)
-    cloud = experiment.cloud
-    return CampaignResult(
-        label=label, n_nodes=n_nodes, duration_s=duration_s, seed=seed,
-        plan_faults=len(plan),
-        fleet_availability=cloud.fleet_availability(),
-        mttr_s=cloud.mttr_s(),
-        sla_violations=cloud.tracker.violations_total(),
-        evacuation_success_rate=cloud.migrations.success_rate(),
-        node_crashes=cloud.stats.node_crashes,
-        recoveries=cloud.stats.recoveries,
-        failovers=cloud.stats.failovers,
-        breaker_trips=cloud.stats.breaker_trips,
-        flaps=cloud.stats.flaps,
-        heartbeats_missed=cloud.stats.heartbeats_missed,
-        admitted=experiment.stats.admitted,
-        rejected=experiment.stats.rejected,
-        completed=cloud.stats.completed,
-        injections=dict(cloud.chaos.injections) if cloud.chaos else {},
-        experiment=experiment,
-    )
-
-
 @dataclass
 class CampaignComparison:
     """The headline A/B: same fault plan, policies on vs off."""
@@ -161,37 +114,37 @@ def run_chaos_ab(n_nodes: int = 4, duration_s: float = 3600.0,
                  jobs: int = 1) -> CampaignComparison:
     """Replay one fault plan with the degradation ladder on, then off.
 
-    With ``jobs >= 2`` the two arms run concurrently in shared-nothing
-    worker subprocesses (they are independent replays of the same plan,
-    so running them serially wastes an idle core and 2× the wall
-    clock).  The parallel path returns bit-identical headline numbers
-    to the serial one, but the per-arm ``experiment`` drill-down
+    With no explicit ``plan``, a reproducible one is drawn from the
+    seed.  Each arm is one
+    :class:`~repro.persistence.campaign.PersistentCampaign` run in
+    memory.  With ``jobs >= 2`` the two arms run concurrently in
+    shared-nothing worker subprocesses (they are independent replays of
+    the same plan, so running them serially wastes an idle core and 2×
+    the wall clock).  The parallel path returns bit-identical headline
+    numbers to the serial one, but the per-arm ``experiment`` drill-down
     handles stay behind in the workers and come back as ``None``.
     """
-    if plan is None:
-        plan = FaultPlan.random(
-            [f"node{i}" for i in range(n_nodes)], duration_s,
-            rate_per_hour=rate_per_hour, seed=seed, intensity=intensity)
+    # Lazy: persistence.campaign imports CampaignResult from here.
+    from ..persistence.campaign import CampaignConfig, PersistentCampaign
+
+    if jobs < 1:
+        raise ConfigurationError("jobs must be >= 1")
+    config = CampaignConfig(
+        n_nodes=n_nodes, duration_s=duration_s, seed=seed,
+        rate_per_hour=rate_per_hour, intensity=intensity,
+        base_rate_per_hour=base_rate_per_hour, step_s=step_s,
+        plan=plan.as_dict() if plan is not None else None).finalized()
     if jobs >= 2:
-        return _run_chaos_ab_parallel(
-            n_nodes=n_nodes, duration_s=duration_s, seed=seed,
-            rate_per_hour=rate_per_hour, intensity=intensity, plan=plan,
-            base_rate_per_hour=base_rate_per_hour, step_s=step_s)
-    common = dict(n_nodes=n_nodes, duration_s=duration_s, seed=seed,
-                  plan=plan, base_rate_per_hour=base_rate_per_hour,
-                  step_s=step_s)
-    on = run_chaos_campaign(degradation=DegradationConfig.on(),
-                            label="policies-on", **common)
-    off = run_chaos_campaign(degradation=DegradationConfig.off(),
-                             label="policies-off", **common)
+        return _run_chaos_ab_parallel(config)
+    on = PersistentCampaign(replace(
+        config, policies="on", label="policies-on")).run()
+    off = PersistentCampaign(replace(
+        config, policies="off", label="policies-off")).run()
     return CampaignComparison(on=on, off=off)
 
 
-def _run_chaos_ab_parallel(n_nodes: int, duration_s: float, seed: int,
-                           rate_per_hour: float, intensity: float,
-                           plan: FaultPlan, base_rate_per_hour: float,
-                           step_s: float) -> CampaignComparison:
-    """Both A/B arms at once, through the sweep engine."""
+def _run_chaos_ab_parallel(config: "CampaignConfig") -> CampaignComparison:
+    """Both A/B arms of ``config`` at once, through the sweep engine."""
     from ..core.exceptions import SweepError
     from ..sweep.engine import (
         SweepSpec,
@@ -200,10 +153,12 @@ def _run_chaos_ab_parallel(n_nodes: int, duration_s: float, seed: int,
     )
 
     spec = SweepSpec(
-        seeds=(seed,), n_nodes=n_nodes, duration_s=duration_s,
-        rate_per_hour=rate_per_hour, intensity=intensity,
-        base_rate_per_hour=base_rate_per_hour, step_s=step_s,
-        grid={"policies": ["on", "off"]}, plan=plan.as_dict())
+        seeds=(config.seed,), n_nodes=config.n_nodes,
+        duration_s=config.duration_s, rate_per_hour=config.rate_per_hour,
+        intensity=config.intensity,
+        base_rate_per_hour=config.base_rate_per_hour,
+        step_s=config.step_s, grid={"policies": ["on", "off"]},
+        plan=config.plan)
     outcome = run_sweep(spec, jobs=2)
     if outcome.failures:
         failed = outcome.failures[0]

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError
 from ..core.workers import Attempt, farm
-from ..persistence.campaign import CampaignConfig
+from ..persistence.campaign import CampaignConfig, PersistentCampaign
 
 #: CLI-friendly grid axis name -> (CampaignConfig field, coercion).
 GRID_AXES: Dict[str, Tuple[str, Callable]] = {
@@ -256,32 +256,15 @@ def run_sweep_task(task: SweepTask) -> SweepRow:
     """Execute one campaign point in the current (worker) process.
 
     Exceptions become ``ok=False`` rows rather than propagating — the
-    parent decides whether to retry.  With a ``snapshot_dir`` the task
-    runs through the crash-safe :class:`PersistentCampaign` runtime
-    (proven bit-equivalent to the direct path by the kill/resume
-    bench); otherwise it runs the direct in-memory campaign.
+    parent decides whether to retry.  The task runs through
+    :class:`PersistentCampaign`, persisting into its ``snapshot_dir``
+    when it has one.
     """
-    from ..persistence import payload_checksum, run_persistent_campaign
-    from ..resilience.campaign import run_chaos_campaign
-    from ..resilience.chaos import FaultPlan
-    from ..resilience.policies import DegradationConfig
+    from ..persistence import payload_checksum
 
-    config = task.config.finalized()
     try:
-        if task.snapshot_dir is not None:
-            result = run_persistent_campaign(
-                config, snapshot_dir=task.snapshot_dir)
-        else:
-            degradation = (DegradationConfig.on()
-                           if config.policies == "on"
-                           else DegradationConfig.off())
-            result = run_chaos_campaign(
-                n_nodes=config.n_nodes, duration_s=config.duration_s,
-                seed=config.seed,
-                plan=FaultPlan.from_dict(config.plan),  # type: ignore[arg-type]
-                degradation=degradation,
-                base_rate_per_hour=config.base_rate_per_hour,
-                step_s=config.step_s, label=config.label)
+        result = PersistentCampaign(
+            task.config, snapshot_dir=task.snapshot_dir).run()
     except Exception as exc:  # noqa: BLE001 — crossing a process boundary
         return SweepRow(index=task.index, point=task.point,
                         seed=task.seed, ok=False,

@@ -7,11 +7,8 @@ from repro.cloudmgr.sla import SILVER
 from repro.core.clock import SimClock
 from repro.core.exceptions import ConfigurationError, SchedulingError
 from repro.hypervisor.vm import VirtualMachine
-from repro.resilience import (
-    DegradationConfig,
-    run_chaos_ab,
-    run_chaos_campaign,
-)
+from repro.persistence import CampaignConfig, PersistentCampaign
+from repro.resilience import DegradationConfig, run_chaos_ab
 from repro.workloads import spec_workload
 
 AB_CONFIG = dict(n_nodes=4, duration_s=3600.0, seed=0,
@@ -26,10 +23,10 @@ def make_vm(name, cycles=1e11):
 
 class TestCampaign:
     def test_campaign_is_bit_reproducible(self):
-        first = run_chaos_campaign(n_nodes=4, duration_s=1500.0, seed=3,
-                                   rate_per_hour=10.0, intensity=0.7)
-        second = run_chaos_campaign(n_nodes=4, duration_s=1500.0, seed=3,
-                                    rate_per_hour=10.0, intensity=0.7)
+        config = CampaignConfig(n_nodes=4, duration_s=1500.0, seed=3,
+                                rate_per_hour=10.0, intensity=0.7)
+        first = PersistentCampaign(config).run()
+        second = PersistentCampaign(config).run()
         # CampaignResult equality covers every headline number and the
         # injection counts (the experiment handle is excluded).
         assert first == second
@@ -38,10 +35,11 @@ class TestCampaign:
 
     def test_needs_at_least_two_nodes(self):
         with pytest.raises(ConfigurationError):
-            run_chaos_campaign(n_nodes=1, duration_s=600.0)
+            CampaignConfig(n_nodes=1, duration_s=600.0)
 
     def test_describe_carries_headlines(self):
-        result = run_chaos_campaign(n_nodes=2, duration_s=900.0, seed=1)
+        result = PersistentCampaign(
+            CampaignConfig(n_nodes=2, duration_s=900.0, seed=1)).run()
         text = result.describe()
         assert "availability=" in text and "mttr=" in text
 

@@ -250,6 +250,24 @@ class TestFleetValidation:
         assert report["fault_domains"]["defense"] is True
 
 
+class TestConfigurationErrors:
+    """Bad values exit 2 with a one-line error instead of a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--jobs", "0"],
+        ["sweep", "--nodes", "2", "--duration", "240", "--quiet",
+         "--seeds", "0,8:4"],
+        ["predict", "--jobs", "0"],
+        ["chaos", "--nodes", "1", "--policies", "on"],
+        ["chaos", "--nodes", "2", "--duration", "240", "--policies",
+         "both", "--jobs", "0"],
+    ])
+    def test_exits_2_with_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestSweepParsing:
     def test_parse_seeds_mixed(self):
         assert _parse_seeds("0,1,4:8") == (0, 1, 4, 5, 6, 7)
@@ -257,6 +275,12 @@ class TestSweepParsing:
     def test_parse_seeds_empty_raises(self):
         with pytest.raises(ValueError):
             _parse_seeds(" , ")
+
+    def test_parse_seeds_rejects_empty_ranges(self):
+        with pytest.raises(ValueError, match="'8:4'"):
+            _parse_seeds("0,8:4")
+        with pytest.raises(ValueError, match="'4:4'"):
+            _parse_seeds("4:4")
 
     def test_parse_grid_types_values(self):
         grid = _parse_grid(["nodes=2,4", "rate=6.0,12.0",

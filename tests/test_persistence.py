@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import tempfile
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import InvariantViolation, PersistenceError
 from repro.persistence import (
@@ -157,15 +161,34 @@ class TestStateRoundTrip:
         assert _metrics_digest(first) == _metrics_digest(second)
 
     def test_matches_unpersisted_campaign(self):
-        from repro.resilience import FaultPlan, run_chaos_campaign
+        from repro.cloudmgr import run_rack_experiment
+        from repro.resilience import DegradationConfig, FaultPlan
 
-        persistent = PersistentCampaign(CONFIG).run()
-        classic = run_chaos_campaign(
+        campaign = PersistentCampaign(CONFIG)
+        persistent = campaign.run()
+        classic = run_rack_experiment(
             n_nodes=CONFIG.n_nodes, duration_s=CONFIG.duration_s,
-            seed=CONFIG.seed,
-            plan=FaultPlan.from_dict(CONFIG.finalized().plan),
-            label=CONFIG.label)
-        assert _headline(persistent) == _headline(classic)
+            seed=CONFIG.seed, step_s=CONFIG.step_s,
+            base_rate_per_hour=CONFIG.base_rate_per_hour,
+            degradation=DegradationConfig.on(),
+            fault_plan=FaultPlan.from_dict(CONFIG.finalized().plan))
+        cloud = classic.cloud
+        assert _metrics_digest(campaign) == payload_checksum(
+            classic.metrics_snapshot())
+        expected = {
+            "fleet_availability": cloud.fleet_availability(),
+            "mttr_s": cloud.mttr_s(),
+            "sla_violations": cloud.tracker.violations_total(),
+            "evacuation_success_rate": cloud.migrations.success_rate(),
+            "admitted": classic.stats.admitted,
+            "rejected": classic.stats.rejected,
+            "injections": dict(cloud.chaos.injections),
+        }
+        expected.update({name: getattr(cloud.stats, name) for name in (
+            "node_crashes", "recoveries", "failovers", "breaker_trips",
+            "flaps", "heartbeats_missed", "completed")})
+        assert {name: getattr(persistent, name)
+                for name in expected} == expected
 
     def test_rng_streams_survive_the_round_trip(self):
         campaign = PersistentCampaign(CONFIG)
@@ -206,6 +229,34 @@ class TestDiskResume:
             tmp_path, snapshot_every_s=300.0,
             auditor=StateAuditor(strict=True))
         result = resumed.run()
+        assert _headline(result) == _headline(result_ref)
+        assert _metrics_digest(resumed) == _metrics_digest(reference)
+
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           policies=st.sampled_from(["on", "off"]),
+           n_nodes=st.sampled_from([2, 3]),
+           snapshot_every_s=st.sampled_from([120.0, 300.0]),
+           abandon_step=st.integers(min_value=1, max_value=9))
+    @settings(max_examples=10, deadline=None)
+    def test_any_abandoned_run_resumes_to_the_unstored_end_state(
+            self, seed, policies, n_nodes, snapshot_every_s, abandon_step):
+        config = replace(CONFIG, n_nodes=n_nodes, duration_s=600.0,
+                         seed=seed, policies=policies,
+                         label=f"policies-{policies}")
+        reference = PersistentCampaign(config)
+        result_ref = reference.run()
+        # tmp_path would be shared by every example: one dir each.
+        with tempfile.TemporaryDirectory() as directory:
+            abandoned = PersistentCampaign(
+                config, snapshot_dir=directory,
+                snapshot_every_s=snapshot_every_s)
+            for _ in range(abandon_step):
+                abandoned.step()
+            del abandoned  # the "crash"
+            resumed = PersistentCampaign.resume(
+                directory, snapshot_every_s=snapshot_every_s,
+                auditor=StateAuditor(strict=True))
+            result = resumed.run()
         assert _headline(result) == _headline(result_ref)
         assert _metrics_digest(resumed) == _metrics_digest(reference)
 

@@ -115,25 +115,17 @@ class TestSweepSpec:
 
 class TestWorker:
     def test_task_matches_direct_campaign(self):
-        from repro.resilience import (
-            DegradationConfig,
-            FaultPlan,
-            run_chaos_campaign,
-        )
+        from repro.persistence import PersistentCampaign, payload_checksum
 
         task = SweepSpec(seeds=(5,), **_SMALL).expand()[0]
         row = run_sweep_task(task)
         assert row.ok and row.error is None
         result = campaign_result_from_row(row)
         assert result.experiment is None
-        config = task.config.finalized()
-        direct = run_chaos_campaign(
-            n_nodes=config.n_nodes, duration_s=config.duration_s,
-            seed=config.seed, plan=FaultPlan.from_dict(config.plan),
-            degradation=DegradationConfig.on(),
-            base_rate_per_hour=config.base_rate_per_hour,
-            step_s=config.step_s, label=config.label)
+        direct = PersistentCampaign(task.config).run()
         assert result == replace(direct, experiment=None)
+        assert row.metrics_sha256 == payload_checksum(
+            direct.experiment.metrics_snapshot())
 
     def test_failed_row_has_no_result(self):
         row = SweepRow(index=0, point="base", seed=0, ok=False,

@@ -335,6 +335,18 @@ def _cmd_eop(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of the seed options: an integer >= 0."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid seed {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_seeds(text: str):
     """``0,1,4:8`` -> (0, 1, 4, 5, 6, 7); ranges are half-open."""
     seeds = []
@@ -347,9 +359,13 @@ def _parse_seeds(text: str):
             if lo >= hi:
                 raise ValueError(f"empty seed range {item!r}: a range "
                                  "lo:hi needs lo < hi")
-            seeds.extend(range(lo, hi))
+            chunk = range(lo, hi)
         else:
-            seeds.append(int(item))
+            chunk = (int(item),)
+        if chunk[0] < 0:
+            raise ValueError(f"negative seed in {item!r}: seeds must "
+                             "be >= 0")
+        seeds.extend(chunk)
     if not seeds:
         raise ValueError(f"no seeds in {text!r}")
     return tuple(seeds)
@@ -731,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="UniServer reproduction command-line interface",
     )
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_seed, default=0,
                         help="base RNG seed (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -830,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--train-seeds", default="11,12,13",
                          help="seeds of the harvest campaigns the "
                               "predictor trains on")
-    predict.add_argument("--eval-seed", type=int, default=21,
+    predict.add_argument("--eval-seed", type=_seed, default=21,
                          help="held-out seed scored against the "
                               "ground-truth fault ledger")
     predict.add_argument("--nodes", type=int, default=3)
@@ -851,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "migration A/B under a pinned plan")
     predict.add_argument("--ab-nodes", type=int, default=5)
     predict.add_argument("--ab-duration", type=float, default=7200.0)
-    predict.add_argument("--ab-seed", type=int, default=42)
+    predict.add_argument("--ab-seed", type=_seed, default=42)
     predict.add_argument("--report-json", default=None,
                          help="write the canonical-JSON prediction "
                               "report to this path")
@@ -914,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--report-json", default=None,
                        help="write the canonical-JSON fleet report "
                             "to this path")
-    fleet.add_argument("--chaos-seed", type=int, default=None,
+    fleet.add_argument("--chaos-seed", type=_seed, default=None,
                        help="seed a vectorized fault plan (crash "
                             "storms, telemetry dropout, governor "
                             "wedges); changes the physics, so it is "
@@ -925,7 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--chaos-intensity", type=float, default=0.5,
                        help="fault magnitude scale in (0, 1] "
                             "(default 0.5)")
-    fleet.add_argument("--correlated-seed", type=int, default=None,
+    fleet.add_argument("--correlated-seed", type=_seed, default=None,
                        help="seed a topology-correlated fault plan "
                             "(PDU brownouts, cooling failures, rack "
                             "partitions); part of the report identity")

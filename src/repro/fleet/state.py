@@ -115,6 +115,8 @@ class FleetConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ConfigurationError("the fleet needs at least one node")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.step_s <= 0:
             raise ConfigurationError("step must be positive")
         if self.cores_per_node < 1 or self.dimms_per_node < 1:

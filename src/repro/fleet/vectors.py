@@ -25,8 +25,12 @@ the determinism contract ``tests/test_fleet_vectors.py`` pins down and
 
 from __future__ import annotations
 
+import operator
+from typing import List
+
 import numpy as np
 
+from ..core.exceptions import ConfigurationError
 from ..core.runtime import NodeRuntime, _stream_key
 from .state import FleetConfig, FleetState
 
@@ -51,48 +55,152 @@ CH_ARRIVAL_LIFETIME = 12
 _CH_GAUSS_U1 = 101
 _CH_GAUSS_U2 = 102
 
-_PHI = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+#: Nodes per block of :meth:`FleetVectors.step`: with 8 lanes, one
+#: ``(block, lanes)`` uint64 temporary is 512 KiB, so a block's working
+#: set stays in a 2-4 MiB L2 cache.
+STEP_BLOCK_NODES = 8192
+
+_PHI_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_M64 = (1 << 64) - 1
+_PHI = np.uint64(_PHI_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
 _INV53 = float(2.0 ** -53)
+_TWO_PI = 2.0 * np.pi
+_GAUSS_U1 = np.uint64(_CH_GAUSS_U1)
+_GAUSS_U2 = np.uint64(_CH_GAUSS_U2)
+#: Keys and salts of this type take the Python-int scalar path.
+_INTEGERS = (int, np.integer)
+
+
+def _mix64(z: int) -> int:
+    """One splitmix64 round over a Python int in ``[0, 2**64)``."""
+    z = (z + _PHI_INT) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+    return z ^ (z >> 31)
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """One splitmix64 round over ``z`` in place; ``tmp`` (same shape)
+    holds the shifted copy."""
+    z += _PHI
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
 
 
 def splitmix64(value):
     """The splitmix64 finalizer over ``uint64`` scalars or arrays."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(value, dtype=np.uint64) + _PHI
-        z = (z ^ (z >> _S30)) * _MIX1
-        z = (z ^ (z >> _S27)) * _MIX2
-        return z ^ (z >> _S31)
+    if isinstance(value, _INTEGERS):
+        return np.uint64(_mix64(int(value)))
+    z = np.array(value, dtype=np.uint64)
+    _mix64_inplace(z, np.empty_like(z))
+    return z
+
+
+def _all_integers(keys, salts) -> bool:
+    """Whether a draw is scalar: ``keys`` and every salt are integers."""
+    return (isinstance(keys, _INTEGERS)
+            and all(isinstance(salt, _INTEGERS) for salt in salts))
+
+
+def _int_chain(keys, salts) -> int:
+    """The salt chain of one scalar draw, in Python int arithmetic."""
+    acc = int(keys)
+    for salt in salts:
+        acc = _mix64(acc ^ int(salt))
+    return acc
+
+
+def _array_chain(keys, salts) -> np.ndarray:
+    """The salt chain over arrays, in place on one owned buffer.
+
+    The buffer starts as a copy of ``keys`` (never ``keys`` itself:
+    shard views share the fleet's key array) and grows only when a salt
+    broadcasts it to a larger shape, so a ``(n, 1)`` prefix is hashed
+    at ``(n, 1)`` before a lane salt widens it to ``(n, lanes)``.
+    """
+    acc = np.array(keys, dtype=np.uint64)
+    tmp = np.empty_like(acc)
+    for salt in salts:
+        salt = np.asarray(salt, dtype=np.uint64)
+        if salt.ndim == 0 or salt.shape == acc.shape:
+            acc ^= salt
+        else:
+            acc = acc ^ salt
+            tmp = np.empty_like(acc)
+        _mix64_inplace(acc, tmp)
+    return acc
 
 
 def counter_bits(keys, *salts):
     """Hash ``(keys, salt0, salt1, ...)`` to uniform ``uint64`` bits.
 
     ``keys`` and each salt may be scalars or broadcastable ``uint64``
-    arrays; the chain folds salts in order, one finalizer round each.
+    arrays; the chain folds salts in order, one finalizer round each,
+    so ``counter_bits(k, a, b) == counter_bits(counter_bits(k, a), b)``.
+    An all-integer draw returns an ``np.uint64``.
     """
-    acc = np.asarray(keys, dtype=np.uint64)
-    for salt in salts:
-        acc = splitmix64(acc ^ np.asarray(salt, dtype=np.uint64))
-    return acc
+    if _all_integers(keys, salts):
+        return np.uint64(_int_chain(keys, salts))
+    return _array_chain(keys, salts)
+
+
+def _unit_interval(bits: np.ndarray) -> np.ndarray:
+    """The top 53 bits of ``bits`` as float64 in ``[0, 1)``; shifts
+    ``bits`` in place."""
+    bits >>= _S11
+    uniform = bits.astype(np.float64)
+    uniform *= _INV53
+    return uniform
 
 
 def counter_uniform(keys, *salts):
-    """Uniform float64 draws in ``[0, 1)`` from the counter hash."""
-    return (counter_bits(keys, *salts) >> _S11).astype(np.float64) * _INV53
+    """Uniform float64 draws in ``[0, 1)`` from the counter hash.
+
+    An all-integer draw returns an ``np.float64``.
+    """
+    if _all_integers(keys, salts):
+        return np.float64((_int_chain(keys, salts) >> 11) * _INV53)
+    return _unit_interval(_array_chain(keys, salts))
 
 
 def counter_gaussian(keys, *salts):
-    """Standard-normal float64 draws (Box-Muller over two channels)."""
-    u1 = counter_uniform(keys, *salts, _CH_GAUSS_U1)
-    u2 = counter_uniform(keys, *salts, _CH_GAUSS_U2)
+    """Standard-normal float64 draws (Box-Muller over two channels).
+
+    u1 and u2 extend the same chain by one salt each, so the shared
+    prefix is hashed once and each finishes with its last round.
+    """
+    u1_bits = _array_chain(keys, salts)
+    u2_bits = u1_bits.copy()
+    u1_bits ^= _GAUSS_U1
+    u2_bits ^= _GAUSS_U2
+    tmp = np.empty_like(u1_bits)
+    _mix64_inplace(u1_bits, tmp)
+    _mix64_inplace(u2_bits, tmp)
     # 1 - u1 is in (0, 1], so the log is finite.
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    radius = _unit_interval(u1_bits)
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle = _unit_interval(u2_bits)
+    angle *= _TWO_PI
+    np.cos(angle, out=angle)
+    radius *= angle
+    return radius
 
 
 # -- key derivation ----------------------------------------------------------
@@ -120,16 +228,103 @@ def runtime_counter_key(runtime: NodeRuntime) -> np.uint64:
         VECTOR_STREAM).generate_state(1, np.uint64)[0])
 
 
+#: ``numpy.random.SeedSequence`` mixing constants
+#: (``numpy/random/bit_generator.pyx``).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_M32 = 0xFFFFFFFF
+
+
+def _uint32_words(value: int) -> List[int]:
+    """``value`` split into little-endian uint32 words the way
+    ``SeedSequence`` splits an integer (zero is one word)."""
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _seed_sequence_keys(entropy: List[np.ndarray]) -> np.ndarray:
+    """``SeedSequence.generate_state(1, np.uint64)[0]`` for many sequences.
+
+    ``entropy`` holds the assembled entropy as ``uint32`` columns, one
+    per word and one row per sequence; it must have at least
+    ``_POOL_SIZE`` words.  A line-by-line transcription of numpy's
+    ``mix_entropy`` and ``generate_state`` with every word a column.
+    The hash constants never depend on the data, so they stay scalars.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _M32
+        value *= np.uint32(hash_const)
+        value ^= value >> _XSHIFT
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        result ^= result >> _XSHIFT
+        return result
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # One uint64 is two uint32 state words, low word first.
+    hash_const = _INIT_B
+    halves = []
+    for word in pool[:2]:
+        word = word ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _M32
+        word *= np.uint32(hash_const)
+        word ^= word >> _XSHIFT
+        halves.append(word.astype(np.uint64))
+    return halves[0] | (halves[1] << np.uint64(32))
+
+
 def fleet_counter_keys(n_nodes: int, seed: int) -> np.ndarray:
     """Per-node counter keys for a fleet built from one seed.
 
-    ``SeedSequence(seed).spawn(n)`` children, one per node, mirroring
+    Row ``i`` is :func:`stream_counter_key` of the ``i``-th child of
+    ``SeedSequence(seed).spawn(n)``, mirroring
     :func:`repro.core.runtime.spawn_runtimes` — node ``i`` of a scalar
-    rack and row ``i`` of a vector fleet share the same key.
+    rack and row ``i`` of a vector fleet share the same key.  The
+    sequences are mixed vectorized across nodes: each node's entropy is
+    the seed words (zero-padded to the pool size), then the node index,
+    then the stream-hash words, so only the index column differs.
     """
-    root = np.random.SeedSequence(seed)
-    return np.array([stream_counter_key(child)
-                     for child in root.spawn(n_nodes)], dtype=np.uint64)
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    if not 0 <= n_nodes < 2**32:
+        raise ConfigurationError(
+            f"n_nodes must be in [0, 2**32), got {n_nodes}")
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    stream_words = _uint32_words(_stream_key(VECTOR_STREAM))
+
+    def column(word: int) -> np.ndarray:
+        return np.full(n_nodes, word, dtype=np.uint32)
+
+    entropy = [column(word) for word in seed_words]
+    entropy.append(np.arange(n_nodes, dtype=np.uint32))
+    entropy += [column(word) for word in stream_words]
+    return _seed_sequence_keys(entropy)
 
 
 def arrival_counter_key(seed: int) -> np.uint64:
@@ -236,7 +431,22 @@ class FleetVectors:
         faults: a crash demotes the node to nominal margins and downs
         it for the outage window, and a wedged governor skips its
         reviews (no demotion, no re-adoption, no window reset).
+
+        The shard is walked in blocks of :data:`STEP_BLOCK_NODES` nodes
+        so the ``(n, lanes)`` temporaries stay in cache; by the same
+        contract, the blocks write the bytes of one whole-shard pass.
         """
+        block = STEP_BLOCK_NODES
+        if state.n <= block:
+            self._step_block(state, t, chaos)
+            return
+        for lo in range(0, state.n, block):
+            hi = min(lo + block, state.n)
+            self._step_block(state.view(lo, hi), t,
+                             None if chaos is None else chaos.view(lo, hi))
+
+    def _step_block(self, state: FleetState, t: int, chaos) -> None:
+        """:meth:`step` over one block of nodes."""
         cfg = self.config
         keys = state.keys[:, None]
         step_salt = np.uint64(t)

@@ -268,9 +268,44 @@ class TestConfigurationErrors:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("command", [
+        ["chaos", "--nodes", "2", "--duration", "240"],
+        ["eop", "--duration", "240"],
+        ["metrics", "--nodes", "1", "--duration", "240"],
+        ["fleet", "--nodes", "2", "--duration", "600"],
+        ["hrm", "--nodes", "2"],
+    ])
+    def test_global_seed_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--seed", "-1", *command])
+        assert exit_info.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--chaos-seed", "--correlated-seed"])
+    def test_fleet_fault_seeds_exit_2(self, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--nodes", "2", "--duration", "600", flag, "-3"])
+        assert exit_info.value.code == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+    def test_sweep_rejects_before_running(self, capsys):
+        assert main(["sweep", "--nodes", "2", "--duration", "240",
+                     "--quiet", "--seeds", "0,-1"]) == 2
+        captured = capsys.readouterr()
+        assert "negative seed in '-1'" in captured.err
+        assert captured.out == ""
+
+
 class TestSweepParsing:
     def test_parse_seeds_mixed(self):
         assert _parse_seeds("0,1,4:8") == (0, 1, 4, 5, 6, 7)
+
+    def test_parse_seeds_rejects_negative_items(self):
+        with pytest.raises(ValueError, match="'-1'"):
+            _parse_seeds("0,-1")
+        with pytest.raises(ValueError, match="'-2:3'"):
+            _parse_seeds("4,-2:3")
 
     def test_parse_seeds_empty_raises(self):
         with pytest.raises(ValueError):

@@ -1,22 +1,39 @@
 """Tests for the counter-based RNG and vectorized fleet stepping."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.runtime import spawn_runtimes
 from repro.fleet import (
+    FleetCampaignConfig,
+    FleetChaos,
     FleetConfig,
     FleetVectors,
+    arrival_counter_key,
     build_fleet_state,
+    counter_bits,
     counter_gaussian,
     counter_uniform,
+    fleet_correlated_plan,
     fleet_counter_keys,
+    fleet_fault_plan,
+    run_fleet_campaign,
     runtime_counter_key,
     shard_bounds,
     splitmix64,
+    stream_counter_key,
 )
 from repro.fleet.state import DYNAMIC_FIELDS, FleetState
+from repro.persistence.snapshot import canonical_json
+from repro.resilience.chaos import FaultKind, FaultPlan
+
+
+#: The module constant that sets how many nodes one step block holds.
+BLOCK_SIZE = "repro.fleet.vectors.STEP_BLOCK_NODES"
 
 
 def assert_states_identical(a, b):
@@ -46,6 +63,107 @@ class TestCounterRNG:
         assert abs(float(draws.mean())) < 0.03
         assert abs(float(draws.std()) - 1.0) < 0.03
 
+    @pytest.mark.parametrize("key", [0, 2**64 - 1])
+    @pytest.mark.parametrize("salts", [
+        (7,), (np.uint64(7), 3), (5, np.uint64(2**63), 11)])
+    def test_scalar_draws_match_array_path(self, key, salts):
+        array_keys = np.array([key], dtype=np.uint64)
+        bits = counter_bits(array_keys, *salts)[0]
+        uniform = counter_uniform(array_keys, *salts)[0]
+        for scalar_key in (key, np.uint64(key)):
+            scalar_bits = counter_bits(scalar_key, *salts)
+            assert isinstance(scalar_bits, np.uint64)
+            assert scalar_bits == bits
+            scalar_uniform = counter_uniform(scalar_key, *salts)
+            assert isinstance(scalar_uniform, np.float64)
+            assert scalar_uniform == uniform
+            scalar_mixed = splitmix64(scalar_key)
+            assert isinstance(scalar_mixed, np.uint64)
+            assert scalar_mixed == splitmix64(array_keys)[0]
+
+    def test_chain_folds_one_salt_at_a_time(self):
+        keys = np.arange(16, dtype=np.uint64)
+        lanes = np.arange(3, dtype=np.uint64)[None, :]
+        assert np.array_equal(
+            counter_bits(keys[:, None], 4, lanes),
+            counter_bits(counter_bits(keys[:, None], 4), lanes))
+
+    def test_draws_never_write_into_the_keys(self):
+        keys = fleet_counter_keys(6, 2)
+        before = keys.copy()
+        counter_bits(keys)
+        counter_bits(keys, 1, 2)
+        counter_uniform(keys[:, None], 3, np.arange(4, dtype=np.uint64))
+        counter_gaussian(keys)
+        counter_gaussian(keys[:, None], 5, np.arange(4, dtype=np.uint64))
+        assert np.array_equal(keys, before)
+
+
+def hexes(values):
+    return [hex(int(v)) for v in values]
+
+
+def stepped_digest(**overrides):
+    """sha256 of a 37-node fleet's state after 30 steps under a fixed
+    per-step load pattern."""
+    config = FleetConfig(n_nodes=37, seed=5, **overrides)
+    vectors = FleetVectors(config)
+    state = build_fleet_state(config)
+    for t in range(30):
+        state.used_vcpus[:] = (np.arange(37) * 7 + t) % 17
+        vectors.step(state, t)
+    return hashlib.sha256(json.dumps(
+        state.state_dict(), sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenBits:
+    """Pinned outputs of the counter RNG and the fleet step.
+
+    The other RNG tests compare two paths that share the hashing code,
+    so a change that shifted bits everywhere at once would pass them;
+    these literal values catch it.
+    """
+
+    def test_fleet_keys(self):
+        assert hexes(fleet_counter_keys(3, 0)) == [
+            "0xb99e9328686c44bc", "0xd5ed6459d6a4960f",
+            "0xa7cdb2ab27ef9bd2"]
+        assert hexes(fleet_counter_keys(2, 2**70 + 3)) == [
+            "0x85bc065fb1b0b896", "0xe3d3279e47f9fe3"]
+
+    def test_arrival_key(self):
+        assert hex(int(arrival_counter_key(0))) == "0x8c89cb381014bd80"
+
+    def test_array_draws(self):
+        keys = np.arange(3, dtype=np.uint64)
+        assert hexes(counter_bits(keys, np.uint64(5), 3)) == [
+            "0x67e07ea6e630c1f5", "0x501487be8da27526",
+            "0x6baa78681a99f995"]
+        assert [float(x).hex()
+                for x in counter_gaussian(keys, np.uint64(5), 3)] == [
+            "-0x1.2ce72ec0c6f8bp+0", "-0x1.1aab4ae727a3ap-3",
+            "0x1.566c9e5a5a1c9p-2"]
+
+    def test_scalar_draws(self):
+        key = np.uint64(2**64 - 1)
+        bits = counter_bits(key, np.uint64(7), 11)
+        assert isinstance(bits, np.uint64)
+        assert hex(int(bits)) == "0x6a3d9a4ba14da181"
+        uniform = counter_uniform(key, np.uint64(7), 11)
+        assert isinstance(uniform, np.float64)
+        assert float(uniform).hex() == "0x1.a8f6692e85368p-2"
+
+    def test_stepped_state(self):
+        assert stepped_digest() == (
+            "6f0ceb03cfd68e16cd802e532017f86a"
+            "f0ebae4bbc7b8cb2155e5abb74b68aa5")
+
+    def test_stepped_tiered_state(self):
+        assert stepped_digest(strong_dimms_per_node=1,
+                              normal_dimms_per_node=1) == (
+            "fad6c3646cbb982f0cc15be9716671a2"
+            "bd57f8fdb1e8cb8ba5af7ab61d92672f")
+
 
 class TestKeyDerivation:
     def test_keys_match_scalar_runtime_streams(self):
@@ -61,6 +179,24 @@ class TestKeyDerivation:
         b = fleet_counter_keys(16, 1)
         assert len(set(a.tolist())) == 16
         assert set(a.tolist()).isdisjoint(b.tolist())
+
+    @pytest.mark.parametrize("seed", [
+        0, 1, 12345, 2**32 + 5, 2**70 + 3, 2**140 + 11])
+    @pytest.mark.parametrize("n", [1, 5, 1000])
+    def test_vectorized_keys_match_seed_sequence(self, seed, n):
+        expected = [int(stream_counter_key(child))
+                    for child in np.random.SeedSequence(seed).spawn(n)]
+        keys = fleet_counter_keys(n, seed)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == expected
+
+    def test_rejects_negative_seed_and_oversized_fleets(self):
+        with pytest.raises(ConfigurationError):
+            fleet_counter_keys(3, -1)
+        with pytest.raises(ConfigurationError):
+            fleet_counter_keys(2**32, 0)
+        with pytest.raises(ConfigurationError):
+            FleetConfig(seed=-1)
 
 
 class TestShardBounds:
@@ -130,6 +266,93 @@ class TestVectorStepping:
         assert np.all(state.power_w > 0)
         assert np.all(state.energy_j == state.power_w * config.step_s)
         assert np.all(state.temperature_c > config.ambient_c)
+
+
+class TestBlockedStep:
+    """Blocked stepping over a 37-node fleet with 3-node blocks (twelve
+    full blocks and a ragged one) against one whole-shard pass and the
+    per-node loop."""
+
+    N = 37
+
+    def assert_blocking_invariant(self, monkeypatch, config, chaos=None):
+        vectors = FleetVectors(config)
+        blocked, whole, per_node = (build_fleet_state(config)
+                                    for _ in range(3))
+        for t in range(30):
+            used = (np.arange(self.N) * 7 + t) % (config.vcpus_per_node + 1)
+            for state in (blocked, whole, per_node):
+                state.used_vcpus[:] = used
+            with monkeypatch.context() as patch:
+                patch.setattr(BLOCK_SIZE, 3)
+                vectors.step(blocked, t, chaos)
+            vectors.step(whole, t, chaos)
+            for i in range(self.N):
+                vectors.step_node(per_node, i, t, chaos)
+            assert_states_identical(blocked, whole)
+            assert_states_identical(blocked, per_node)
+        return blocked
+
+    def test_walks_fixed_blocks(self, monkeypatch):
+        config = FleetConfig(n_nodes=self.N, seed=5)
+        vectors = FleetVectors(config)
+        sizes = []
+        step_block = FleetVectors._step_block
+
+        def recording_step_block(self, state, t, chaos):
+            sizes.append(state.n)
+            step_block(self, state, t, chaos)
+
+        monkeypatch.setattr(FleetVectors, "_step_block",
+                            recording_step_block)
+        monkeypatch.setattr(BLOCK_SIZE, 3)
+        vectors.step(build_fleet_state(config), 0)
+        assert sizes == [3] * 12 + [1]
+
+    def test_plain_fleet(self, monkeypatch):
+        config = FleetConfig(n_nodes=self.N, seed=5,
+                             error_budget_per_window=0,
+                             review_every_steps=3, probation_steps=4)
+        state = self.assert_blocking_invariant(monkeypatch, config)
+        assert state.demotions.any() and state.adoptions.any()
+
+    def test_tiered_fleet(self, monkeypatch):
+        config = FleetConfig(n_nodes=self.N, seed=5,
+                             strong_dimms_per_node=1,
+                             normal_dimms_per_node=2)
+        state = self.assert_blocking_invariant(monkeypatch, config)
+        assert state.retention_errors_normal.any()
+
+    def test_chaos_and_correlated_faults_with_defense(self, monkeypatch):
+        config = FleetConfig(n_nodes=self.N, seed=5, nodes_per_rack=4)
+        plan = FaultPlan(
+            list(fleet_fault_plan(self.N, 1800.0, seed=3,
+                                  rate_per_hour=8.0, intensity=1.0))
+            + list(fleet_correlated_plan(config, 1800.0, seed=7,
+                                         rate_per_hour=2.0)))
+        kinds = {spec.kind for spec in plan}
+        assert {FaultKind.NODE_CRASH, FaultKind.TELEMETRY_DROPOUT,
+                FaultKind.EOP_GOVERNOR_WEDGE, FaultKind.PDU_BROWNOUT,
+                FaultKind.COOLING_FAILURE} <= kinds
+        chaos = FleetChaos(plan, config, defense=True)
+        state = self.assert_blocking_invariant(monkeypatch, config, chaos)
+        assert state.crashes_total.any()
+        assert state.domain_demotions.any()
+
+    def test_chaos_campaign_report(self, monkeypatch):
+        # The campaign layer adds admission and telemetry dropout on
+        # top of the step.
+        config = FleetCampaignConfig(
+            fleet=FleetConfig(n_nodes=self.N, seed=5, nodes_per_rack=4),
+            duration_s=1800.0, arrivals_per_hour=600.0,
+            mean_lifetime_s=600.0, telemetry_every_steps=2,
+            chaos_seed=3, chaos_rate_per_hour=8.0, correlated_seed=7,
+            correlated_rate_per_hour=2.0, domain_defense=True)
+        whole = run_fleet_campaign(config)
+        monkeypatch.setattr(BLOCK_SIZE, 3)
+        blocked = run_fleet_campaign(config)
+        assert canonical_json(blocked) == canonical_json(whole)
+        assert whole["totals"]["crashes"] > 0
 
 
 class TestStateRoundTrip:

@@ -117,7 +117,7 @@ def test_domain_defense_ab(benchmark, emit):
         "domain defenses did not improve availability")
     assert d["sla_violations"] < b["sla_violations"], (
         "domain defenses did not reduce SLA violations")
-    assert d["migrations"] > 0, "zone evacuation never moved a VM"
+    assert d["migrations"] > 0, "at-risk evacuation never moved a VM"
     assert d["domain_demotions"] > 0, (
         "the correlated-demotion guard never fired")
     assert b["migrations"] == 0 and b["domain_demotions"] == 0, (

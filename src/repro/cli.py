@@ -18,8 +18,8 @@ command          what it runs
 ``chaos``        seeded control-plane chaos campaign (policies A/B)
 ``sweep``        parallel multi-seed campaign sweep over a config grid
 ``eop``          error-injecting EOP-governor campaign, state table
-``fleet``        zone-sharded fleet campaign (vectorized or object
-                 stack), energy-proportionality report
+``fleet``        vectorized fleet campaign over node shards,
+                 energy-proportionality report
 ``profile``      short campaign under cProfile, top-N hot paths
 ===============  ======================================================
 """
@@ -579,97 +579,82 @@ def _parse_kill_specs(specs, jobs: int = None) -> list:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .persistence import payload_checksum, write_canonical
+    from .fleet import FleetCampaign, FleetCampaignConfig, FleetConfig
+    from .persistence import write_canonical
 
+    if args.resume and not args.snapshot_dir:
+        print("error: --resume needs --snapshot-dir", file=sys.stderr)
+        return 2
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.jobs < 1:
         raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.engine == "zoned":
-        from .fleet import rack_report, run_zoned_rack_experiment
-
-        experiment = run_zoned_rack_experiment(
-            n_nodes=args.nodes, shards=args.shards,
-            duration_s=args.duration, seed=args.seed,
-            base_rate_per_hour=args.rate,
-            chaos_seed=args.chaos_seed,
-            chaos_rate_per_hour=args.chaos_rate,
-            chaos_intensity=args.chaos_intensity)
-        report = rack_report(experiment.cloud, experiment.stats)
-        print(f"zoned rack: {args.nodes} nodes in {args.shards} "
-              f"zone(s), {report['steps']} steps")
-        print(f"admitted {report['simulation']['admitted']}, "
-              f"energy {report['energy_j'] / 3.6e6:.3f} kWh, "
-              f"availability {report['fleet_availability']:.4f}")
-        digest = payload_checksum(report)
-    else:
-        from .fleet import (
-            FleetCampaignConfig,
-            FleetConfig,
-            run_fleet_campaign,
-        )
-
-        config = FleetCampaignConfig(
-            fleet=FleetConfig(n_nodes=args.nodes, seed=args.seed),
-            duration_s=args.duration,
-            arrivals_per_hour=args.rate,
-            shards=args.shards, stepper=args.stepper,
-            chaos_seed=args.chaos_seed,
-            chaos_rate_per_hour=args.chaos_rate,
-            chaos_intensity=args.chaos_intensity,
-            correlated_seed=args.correlated_seed,
-            correlated_rate_per_hour=args.correlated_rate,
-            correlated_intensity=args.correlated_intensity,
-            domain_defense=args.domain_defense)
-        report = run_fleet_campaign(
-            config, jobs=args.jobs, snapshot_dir=args.snapshot_dir,
-            snapshot_every_steps=args.snapshot_every,
-            resume=args.resume,
-            worker_timeout_s=args.worker_timeout,
-            max_worker_restarts=args.max_worker_restarts,
-            kill_worker_at=_parse_kill_specs(
-                args.kill_worker_at, jobs=args.jobs))
-        totals = report["totals"]
-        ep = report["energy_proportionality"]
-        print(f"fleet campaign: {args.nodes} nodes, "
-              f"{args.shards} shard(s), jobs={args.jobs}, "
-              f"stepper={args.stepper}")
-        print(f"steps {totals['steps']}, admitted {totals['admitted']}, "
-              f"rejected {totals['rejected']}, "
-              f"completed {totals['completed']}")
-        if args.chaos_seed is not None:
-            print(f"chaos: seed {args.chaos_seed}, "
-                  f"crashes {totals['crashes']}, "
-                  f"vm failures {totals['vm_failures']}, "
-                  f"nodes down at end {totals['nodes_down_final']}")
-        domains = report.get("fault_domains")
-        if domains:
-            print(f"fault domains: {domains['specs']} correlated "
-                  f"spec(s) over {domains['topology']['racks']} "
-                  f"rack(s), defense "
-                  f"{'on' if domains['defense'] else 'off'}; "
-                  f"availability {totals['availability']:.4f}, "
-                  f"sla violations {totals['sla_violations']}, "
-                  f"domain demotions {totals['domain_demotions']}, "
-                  f"migrations {totals['migrations']}")
-        quarantine = report.get("quarantine")
-        if quarantine:
-            print(f"quarantine: {quarantine['nodes']} node(s) frozen "
-                  f"in ranges {quarantine['node_ranges']} after "
-                  f"{quarantine['worker_restarts']} worker restart(s)")
-        print(f"energy {totals['energy_j'] / 3.6e6:.3f} kWh, "
-              f"violations {totals['violations']}, "
-              f"margins adopted {totals['margins_adopted_final']}"
-              f"/{args.nodes}")
-        print(f"energy proportionality: dynamic range "
-              f"{ep['dynamic_range']:.3f}, index "
-              f"{ep['proportionality_index']:.3f}"
-              if ep["proportionality_index"] is not None else
-              "energy proportionality: no samples")
-        digest = report["report_sha256"]
+    config = FleetCampaignConfig(
+        fleet=FleetConfig(n_nodes=args.nodes, seed=args.seed),
+        duration_s=args.duration,
+        arrivals_per_hour=args.rate,
+        shards=args.shards, stepper=args.stepper,
+        chaos_seed=args.chaos_seed,
+        chaos_rate_per_hour=args.chaos_rate,
+        chaos_intensity=args.chaos_intensity,
+        correlated_seed=args.correlated_seed,
+        correlated_rate_per_hour=args.correlated_rate,
+        correlated_intensity=args.correlated_intensity,
+        domain_defense=args.domain_defense)
+    campaign = FleetCampaign(
+        config, jobs=args.jobs, snapshot_dir=args.snapshot_dir,
+        snapshot_every_steps=args.snapshot_every,
+        worker_timeout_s=args.worker_timeout,
+        max_worker_restarts=args.max_worker_restarts,
+        kill_worker_at=_parse_kill_specs(
+            args.kill_worker_at, jobs=args.jobs))
+    try:
+        if args.resume and campaign.resume():
+            print(f"resumed at step {campaign.step_index}")
+        campaign.run()
+        report = campaign.report()
+    finally:
+        campaign.close()
+    totals = report["totals"]
+    ep = report["energy_proportionality"]
+    print(f"fleet campaign: {args.nodes} nodes, "
+          f"{args.shards} shard(s), jobs={args.jobs}, "
+          f"stepper={args.stepper}")
+    print(f"steps {totals['steps']}, admitted {totals['admitted']}, "
+          f"rejected {totals['rejected']}, "
+          f"completed {totals['completed']}")
+    if args.chaos_seed is not None:
+        print(f"chaos: seed {args.chaos_seed}, "
+              f"crashes {totals['crashes']}, "
+              f"vm failures {totals['vm_failures']}, "
+              f"nodes down at end {totals['nodes_down_final']}")
+    domains = report.get("fault_domains")
+    if domains:
+        print(f"fault domains: {domains['specs']} correlated "
+              f"spec(s) over {domains['topology']['racks']} "
+              f"rack(s), defense "
+              f"{'on' if domains['defense'] else 'off'}; "
+              f"availability {totals['availability']:.4f}, "
+              f"sla violations {totals['sla_violations']}, "
+              f"domain demotions {totals['domain_demotions']}, "
+              f"migrations {totals['migrations']}")
+    quarantine = report.get("quarantine")
+    if quarantine:
+        print(f"quarantine: {quarantine['nodes']} node(s) frozen "
+              f"in ranges {quarantine['node_ranges']} after "
+              f"{quarantine['worker_restarts']} worker restart(s)")
+    print(f"energy {totals['energy_j'] / 3.6e6:.3f} kWh, "
+          f"violations {totals['violations']}, "
+          f"margins adopted {totals['margins_adopted_final']}"
+          f"/{args.nodes}")
+    print(f"energy proportionality: dynamic range "
+          f"{ep['dynamic_range']:.3f}, index "
+          f"{ep['proportionality_index']:.3f}"
+          if ep["proportionality_index"] is not None else
+          "energy proportionality: no samples")
     if args.report_json:
         write_canonical(args.report_json, report)
-    print(f"report sha256: {digest}")
+    print(f"report sha256: {report['report_sha256']}")
     return 0
 
 
@@ -898,21 +883,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write the canonical-JSON campaign report "
                           "to this path")
     fleet = sub.add_parser(
-        "fleet", help="zone-sharded fleet campaign")
+        "fleet", help="vectorized fleet campaign over node shards")
     fleet.add_argument("--nodes", type=int, default=64)
     fleet.add_argument("--duration", type=float, default=3600.0)
     fleet.add_argument("--rate", type=float, default=120.0,
                        help="VM arrivals per hour (default 120)")
     fleet.add_argument("--shards", type=int, default=1,
-                       help="contiguous node shards/zones (default 1); "
+                       help="contiguous node shards (default 1); "
                             "reports are shard-invariant")
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes stepping shards in "
-                            "parallel (vector engine only)")
-    fleet.add_argument("--engine", choices=("vector", "zoned"),
-                       default="vector",
-                       help="vectorized batch campaign or the zoned "
-                            "object-stack rack (default vector)")
+                            "parallel")
     fleet.add_argument("--stepper", choices=("vector", "scalar"),
                        default="vector",
                        help="batch kernels or the naive per-node loop "
@@ -920,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "baseline)")
     fleet.add_argument("--snapshot-dir", default=None,
                        help="persist checksummed snapshot generations "
-                            "here (vector engine)")
+                            "here")
     fleet.add_argument("--snapshot-every", type=int, default=None,
                        metavar="STEPS",
                        help="snapshot period in steps")
@@ -956,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the domain-aware defenses: rack "
                             "anti-affinity placement, partition "
                             "routing, correlated-demotion guard and "
-                            "bounded zone evacuation")
+                            "at-risk evacuation capped per target rack")
     fleet.add_argument("--kill-worker-at", action="append", default=[],
                        metavar="STEP:WORKER",
                        help="SIGKILL worker WORKER at step STEP "

@@ -69,12 +69,11 @@ from .simulation import (
     TIER_MAP,
     TraceDrivenSimulation,
     run_rack_experiment,
-    run_trace_experiment,
 )
 
 __all__ = [
     "RackExperiment", "SimulationStats", "TIER_MAP",
-    "TraceDrivenSimulation", "run_rack_experiment", "run_trace_experiment",
+    "TraceDrivenSimulation", "run_rack_experiment",
     "CloudController", "CloudStats", "ControllerStats",
     "DomainRisk", "HARVEST_FEATURES", "HORIZONS", "HorizonRisk",
     "HorizonRiskReport", "LearnedFailurePredictor",

@@ -263,20 +263,10 @@ class CloudController:
         actuated against the real node, and an actuation failure (the
         belief was stale or corrupted) surfaces as a scheduling error.
         """
-        placement = self.scheduler.schedule(
-            self.health.schedulable_views(), vm, sla)
-        return self.place(vm, sla, placement)
-
-    def place(self, vm: VirtualMachine, sla: SLA,
-              placement: Placement) -> Placement:
-        """Actuate an already-made placement decision on this controller.
-
-        The decision half of :meth:`launch`; split out so a fleet-level
-        router can schedule over every zone's views and hand the chosen
-        zone only the actuation.
-        """
         from ..hypervisor.qos import requirement_from_sla
 
+        placement = self.scheduler.schedule(
+            self.health.schedulable_views(), vm, sla)
         node = self.nodes[placement.node]
         try:
             node.hypervisor.create_vm(vm)
@@ -626,34 +616,23 @@ class CloudController:
             for name in sorted(self.nodes)
         }
 
-    def availability_summary(self) -> Dict[str, float]:
-        """Achieved availability per VM (tracker passthrough, giving
-        zoned and monolithic controllers one report-facing surface)."""
-        return self.tracker.availability_summary()
-
-    def violations_total(self) -> int:
-        """Summed SLA violations across tracked VMs."""
-        return self.tracker.violations_total()
-
     def fleet_availability(self) -> float:
         """Mean achieved availability across tracked VMs."""
-        summary = self.availability_summary()
+        summary = self.tracker.availability_summary()
         if not summary:
             return 1.0
         return sum(summary.values()) / len(summary)
 
-    def repair_episodes(self) -> List[float]:
-        """Closed repair episodes plus any still-open ones measured up
-        to the current instant, so a run that ends mid-outage does not
-        under-report."""
+    def mttr_s(self) -> Optional[float]:
+        """Mean VM service-restoration time (None without any outage).
+
+        Closed repair episodes plus any still-open ones measured up to
+        the current instant, so a run that ends mid-outage does not
+        under-report.
+        """
         episodes = list(self.stats.repair_times_s)
         episodes.extend(self.clock.now - since
                         for since in self._vm_down_since.values())
-        return episodes
-
-    def mttr_s(self) -> Optional[float]:
-        """Mean VM service-restoration time (None without any outage)."""
-        episodes = self.repair_episodes()
         if not episodes:
             return None
         return sum(episodes) / len(episodes)

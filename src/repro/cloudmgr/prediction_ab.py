@@ -109,7 +109,7 @@ def run_prediction_ab(predictor, n_nodes: int = 5,
         cloud = experiment.cloud
         arms[arm] = {
             "availability": cloud.fleet_availability(),
-            "sla_violations": cloud.violations_total(),
+            "sla_violations": cloud.tracker.violations_total(),
             "mttr_s": cloud.mttr_s(),
             "evacuations": cloud.stats.evacuations,
             "node_crashes": cloud.stats.node_crashes,

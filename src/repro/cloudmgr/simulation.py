@@ -193,19 +193,6 @@ class TraceDrivenSimulation:
                    for node in self.cloud.node_list())
 
 
-def run_trace_experiment(cloud: CloudController, duration_s: float,
-                         trace_seed: int = 0,
-                         base_rate_per_hour: float = 12.0,
-                         step_s: float = 60.0) -> SimulationStats:
-    """Convenience: generate a trace and run it through a controller."""
-    generator = TraceGenerator(
-        TraceConfig(base_rate_per_hour=base_rate_per_hour),
-        seed=trace_seed)
-    events = generator.generate(duration_s)
-    simulation = TraceDrivenSimulation(cloud, events, step_s=step_s)
-    return simulation.run(duration_s)
-
-
 @dataclass
 class RackExperiment:
     """Everything one seeded rack run produced."""

@@ -156,22 +156,6 @@ class SLATracker:
         """Count one migration against a VM's record."""
         self.record(vm_name).migrations += 1
 
-    def transfer_out(self, vm_name: str) -> SLARecord:
-        """Detach and return a VM's record (cross-zone move, source side).
-
-        The accumulated history travels with the VM so availability and
-        violation accounting stay continuous across the move.
-        """
-        record = self.record(vm_name)
-        del self._records[vm_name]
-        return record
-
-    def transfer_in(self, vm_name: str, record: SLARecord) -> None:
-        """Adopt a record detached by :meth:`transfer_out`."""
-        if vm_name in self._records:
-            raise ConfigurationError(f"VM {vm_name!r} already tracked")
-        self._records[vm_name] = record
-
     def tracked_vms(self) -> List[str]:
         """Names of all tracked VMs, sorted."""
         return sorted(self._records)

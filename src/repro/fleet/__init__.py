@@ -1,6 +1,6 @@
-"""Fleet-scale stepping: vectorized shards under zoned control.
+"""Fleet-scale stepping: vectorized shards under one campaign.
 
-Six pieces (see ``docs/fleet.md``):
+Five pieces (see ``docs/fleet.md``):
 
 * :mod:`repro.fleet.state` — struct-of-arrays fleet state and configs;
 * :mod:`repro.fleet.domains` — the physical fault-domain topology
@@ -9,8 +9,6 @@ Six pieces (see ``docs/fleet.md``):
   models, byte-identical to per-node stepping on any shard split;
 * :mod:`repro.fleet.chaos` — seeded fault plans compiled to
   slice-invariant per-step mask kernels;
-* :mod:`repro.fleet.zone` — ``CloudController`` split into
-  ``ZoneController`` shards under a thin ``FleetScheduler`` router;
 * :mod:`repro.fleet.campaign` — one campaign over supervised parallel
   shard workers with a deterministic per-step barrier, replay-on-crash
   recovery, quarantine escalation, and snapshot/resume.
@@ -42,7 +40,6 @@ from .domains import (
 from .report import (
     energy_proportionality,
     fleet_campaign_report,
-    rack_report,
 )
 from .state import DYNAMIC_FIELDS, FleetConfig, FleetState, shard_bounds
 from .vectors import (
@@ -59,12 +56,6 @@ from .vectors import (
     splitmix64,
     stream_counter_key,
 )
-from .zone import (
-    FleetScheduler,
-    ZoneController,
-    build_zoned_rack,
-    run_zoned_rack_experiment,
-)
 
 __all__ = [
     "ARRIVAL_STREAM",
@@ -80,13 +71,10 @@ __all__ = [
     "FleetCampaignConfig",
     "FleetChaos",
     "FleetConfig",
-    "FleetScheduler",
     "FleetState",
     "FleetVectors",
-    "ZoneController",
     "arrival_counter_key",
     "build_fleet_state",
-    "build_zoned_rack",
     "cooling_zone_name",
     "counter_bits",
     "counter_gaussian",
@@ -100,9 +88,7 @@ __all__ = [
     "fleet_node_name",
     "pdu_name",
     "rack_name",
-    "rack_report",
     "run_fleet_campaign",
-    "run_zoned_rack_experiment",
     "runtime_counter_key",
     "shard_bounds",
     "splitmix64",

@@ -705,6 +705,10 @@ class FleetCampaign:
                  kill_worker_at: Sequence[Tuple[int, int]] = ()) -> None:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
+        if snapshot_every_steps is not None and snapshot_every_steps < 1:
+            raise ConfigurationError(
+                "snapshot period must be >= 1 step, got "
+                f"{snapshot_every_steps}")
         kill_worker_at = tuple(
             (int(step), int(worker)) for step, worker in kill_worker_at)
         if kill_worker_at and jobs == 1:
@@ -1221,9 +1225,6 @@ class FleetCampaign:
 
 
 def run_fleet_campaign(config: FleetCampaignConfig, jobs: int = 1,
-                       snapshot_dir=None,
-                       snapshot_every_steps: Optional[int] = None,
-                       resume: bool = False,
                        worker_timeout_s: float = 30.0,
                        max_worker_restarts: int = 2,
                        checkpoint_every_steps: Optional[int] = 25,
@@ -1231,15 +1232,12 @@ def run_fleet_campaign(config: FleetCampaignConfig, jobs: int = 1,
                        ) -> Dict[str, object]:
     """Run one fleet campaign to completion and return its report."""
     campaign = FleetCampaign(
-        config, jobs=jobs, snapshot_dir=snapshot_dir,
-        snapshot_every_steps=snapshot_every_steps,
+        config, jobs=jobs,
         worker_timeout_s=worker_timeout_s,
         max_worker_restarts=max_worker_restarts,
         checkpoint_every_steps=checkpoint_every_steps,
         kill_worker_at=kill_worker_at)
     try:
-        if resume:
-            campaign.resume()
         campaign.run()
         return campaign.report()
     finally:

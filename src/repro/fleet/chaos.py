@@ -88,7 +88,7 @@ def fleet_node_name(index: int) -> str:
 
     :func:`repro.core.runtime.spawn_runtimes` names node ``i``
     ``node{i}``; fleet fault plans use the same names so one plan can
-    drive the vector kernels and the zoned object stack alike.
+    drive the vector kernels and the object-stack rack alike.
     """
     return f"node{index}"
 
@@ -119,7 +119,8 @@ def fleet_fault_plan(n_nodes: int, duration_s: float, seed: int = 0,
     kinds in :data:`FLEET_FAULT_KINDS`.  ``rate_per_hour`` is the
     expected fault count per node-hour; ``intensity`` scales dropout
     magnitudes.  Node names follow :func:`fleet_node_name`, so the same
-    plan drives the zoned object stack byte-for-byte reproducibly.
+    plan also drives an object-stack rack
+    (:func:`~repro.cloudmgr.simulation.build_rack_simulation`).
     """
     if n_nodes < 1:
         raise ConfigurationError("need at least one node")

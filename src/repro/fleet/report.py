@@ -1,17 +1,9 @@
 """Canonical fleet reports and energy-proportionality metrics.
 
-Two report families share this module:
-
-* :func:`rack_report` — the object-stack campaign surface, duck-typed
-  over a monolithic :class:`~repro.cloudmgr.cloud.CloudController` and
-  a zoned :class:`~repro.fleet.zone.FleetScheduler`.  Every float
-  aggregate is computed here with ``math.fsum`` over *name-sorted*
-  per-entity values instead of trusting accumulation order, so the
-  monolith and any zone split serialize to identical bytes.
-* :func:`fleet_campaign_report` — the vectorized campaign surface,
-  invariant to ``shards``/``jobs``/stepper because its inputs already
-  are (the campaign layer guarantees that; the report only orders and
-  rounds nothing).
+:func:`fleet_campaign_report` is the vectorized campaign surface,
+invariant to ``shards``/``jobs``/stepper because its inputs already
+are (the campaign layer guarantees that; the report only orders and
+rounds nothing).
 
 The energy-proportionality block follows the Barroso/Hölzle framing
 the PAPERS.md subsystem-level power-management line builds on:
@@ -28,79 +20,6 @@ from typing import Dict, List, Optional, Sequence
 from ..persistence import payload_checksum
 from .state import FleetConfig
 from .vectors import FleetVectors
-
-
-def _mean_sorted(values: Sequence[float]) -> Optional[float]:
-    """Order-insensitive mean: fsum over the sorted values."""
-    if not values:
-        return None
-    return math.fsum(sorted(values)) / len(values)
-
-
-# -- the object-stack (rack/zoned) report -----------------------------------
-
-
-def rack_report(controller, sim_stats) -> Dict[str, object]:
-    """Canonical report of one trace-driven rack campaign.
-
-    ``controller`` is a CloudController or FleetScheduler; both expose
-    ``node_list``/``placement_log``/``stats``/``availability_summary``/
-    ``violations_total``/``repair_episodes``/``metrics_snapshot``.
-    Energy comes from the per-node hypervisor meters (fsum, name
-    sorted), never from the controller's running float accumulator,
-    whose grouping differs between the monolith and a zone merge.
-    """
-    from dataclasses import asdict
-
-    nodes = sorted(controller.node_list(), key=lambda n: n.name)
-    energy_by_node = {
-        node.name: node.hypervisor.stats.energy_j for node in nodes}
-    availability = controller.availability_summary()
-    episodes = controller.repair_episodes()
-    stats = controller.stats
-    return {
-        "nodes": len(nodes),
-        "steps": stats.steps,
-        "energy_j": math.fsum(energy_by_node[name]
-                              for name in sorted(energy_by_node)),
-        "energy_by_node_j": {name: energy_by_node[name]
-                             for name in sorted(energy_by_node)},
-        "fleet_availability": (
-            math.fsum(availability[name]
-                      for name in sorted(availability))
-            / len(availability) if availability else 1.0),
-        "availability_by_vm": {name: availability[name]
-                               for name in sorted(availability)},
-        "sla_violations": controller.violations_total(),
-        "mttr_s": _mean_sorted(episodes),
-        "repair_episodes": len(episodes),
-        "controller": {
-            "launched": stats.launched,
-            "completed": stats.completed,
-            "node_crashes": stats.node_crashes,
-            "evacuations": stats.evacuations,
-            "recoveries": stats.recoveries,
-            "recovery_attempts": stats.recovery_attempts,
-            "failed_recoveries": stats.failed_recoveries,
-            "failovers": stats.failovers,
-            "failed_failovers": stats.failed_failovers,
-            "migration_retries": stats.migration_retries,
-            "breaker_trips": stats.breaker_trips,
-            "flaps": stats.flaps,
-            "heartbeats_received": stats.heartbeats_received,
-            "heartbeats_missed": stats.heartbeats_missed,
-        },
-        "simulation": {
-            "arrivals": sim_stats.arrivals,
-            "admitted": sim_stats.admitted,
-            "rejected": sim_stats.rejected,
-            "terminated": sim_stats.terminated,
-            "rejected_by_tier": dict(sim_stats.rejected_by_tier),
-        },
-        "placements": [asdict(p) for p in controller.placement_log],
-        "metrics_sha256": payload_checksum(
-            controller.metrics_snapshot()),
-    }
 
 
 # -- energy proportionality --------------------------------------------------

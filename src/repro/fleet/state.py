@@ -106,7 +106,7 @@ class FleetConfig:
     strong_dimms_per_node: int = 0
     normal_dimms_per_node: int = 0
     refresh_normal_s: float = 0.128
-    #: Per-node margin governor (the zone-level EOP stance).
+    #: Per-node margin governor (the fleet-wide EOP stance).
     adopt_margins: bool = True
     error_budget_per_window: int = 4
     review_every_steps: int = 10

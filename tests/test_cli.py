@@ -24,7 +24,6 @@ class TestParser:
         assert args.nodes == 64
         assert args.shards == 1
         assert args.jobs == 1
-        assert args.engine == "vector"
         assert args.stepper == "vector"
 
     def test_profile_defaults(self):
@@ -158,13 +157,6 @@ class TestCommands:
         assert report["totals"]["steps"] == 20
         assert "report_sha256" in report
 
-    def test_fleet_zoned_engine(self, capsys):
-        assert main(["fleet", "--engine", "zoned", "--nodes", "4",
-                     "--shards", "2", "--duration", "600"]) == 0
-        out = capsys.readouterr().out
-        assert "2 zone(s)" in out
-        assert "report sha256:" in out
-
     def test_hrm_writes_frontier_report(self, capsys, tmp_path):
         report_path = tmp_path / "hrm.json"
         assert main(["hrm", "--nodes", "3", "--require-frontier",
@@ -248,6 +240,46 @@ class TestFleetValidation:
         assert "fault domains:" in out and "defense on" in out
         report = json.loads(report_path.read_text())
         assert report["fault_domains"]["defense"] is True
+
+
+class TestFleetSnapshotFlags:
+    BASE = ["fleet", "--nodes", "8", "--duration", "1200"]
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_nonpositive_snapshot_period_exits_2(self, capsys, tmp_path,
+                                                 every):
+        assert main(self.BASE + ["--snapshot-dir", str(tmp_path),
+                                 "--snapshot-every", every]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: snapshot period must be >= 1 step, got {every}\n")
+        assert captured.out == ""
+
+    def test_resume_needs_snapshot_dir(self, capsys):
+        assert main(self.BASE + ["--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --resume needs --snapshot-dir\n"
+        assert captured.out == ""
+
+    def test_resume_from_an_older_generation_matches_a_fresh_run(
+            self, capsys, tmp_path):
+        snaps = tmp_path / "snaps"
+        store = ["--snapshot-dir", str(snaps), "--snapshot-every", "5"]
+        fresh, stored, resumed = (tmp_path / f"{name}.json" for name
+                                  in ("fresh", "stored", "resumed"))
+        assert main(self.BASE + ["--report-json", str(fresh)]) == 0
+        assert main(self.BASE + store + ["--report-json", str(stored)]) == 0
+        generations = sorted(path.name for path in snaps.iterdir())
+        assert generations == [f"snapshot-{step:08d}.json"
+                               for step in (10, 15, 20)]
+        for name in generations[1:]:
+            (snaps / name).unlink()
+        capsys.readouterr()
+        assert main(self.BASE + store + [
+            "--resume", "--report-json", str(resumed)]) == 0
+        assert capsys.readouterr().out.startswith("resumed at step 10\n")
+        assert stored.read_bytes() == fresh.read_bytes()
+        assert resumed.read_bytes() == fresh.read_bytes()
 
 
 class TestConfigurationErrors:

@@ -1,5 +1,7 @@
 """Tests for fault-domain topology, correlated chaos, and defenses."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,41 @@ class TestCampaignWithDomains:
         assert canonical_json(resumed.report()) == canonical_json(full)
         resumed.close()
 
+    @staticmethod
+    def _peak_evacuation_inflow(cap):
+        """Most VMs one at-risk evacuation pass moved into one rack."""
+        from repro.fleet import FleetCampaign
+
+        campaign = FleetCampaign(correlated_config(
+            max_migrations_per_rack_step=cap))
+        evacuate, occupy = campaign._evacuate_at_risk, campaign._occupy
+        inflow = Counter()
+        step = None
+
+        def recording_evacuate(t):
+            nonlocal step
+            step = t
+            evacuate(t)
+            step = None
+
+        def recording_occupy(seq, node, vcpus, sign):
+            if step is not None and sign > 0:
+                inflow[step, int(campaign.topology.rack_of[node])] += 1
+            occupy(seq, node, vcpus, sign)
+
+        campaign._evacuate_at_risk = recording_evacuate
+        campaign._occupy = recording_occupy
+        campaign.run()
+        campaign.close()
+        assert sum(inflow.values()) == campaign.migrations
+        return max(inflow.values(), default=0)
+
+    def test_evacuation_inflow_is_capped_per_rack_and_step(self):
+        assert self._peak_evacuation_inflow(cap=1) <= 1
+        # Without a binding cap the same plan stampedes one rack, so
+        # the capped run really exercises the backpressure.
+        assert self._peak_evacuation_inflow(cap=1000) > 1
+
     def test_campaign_validation(self):
         with pytest.raises(ConfigurationError):
             correlated_config(correlated_rate_per_hour=-1.0)
@@ -455,46 +492,3 @@ class TestSchedulerAntiAffinity:
 
         with pytest.raises(ConfigurationError):
             RackAntiAffinity([], nodes_per_rack=0)
-
-
-class TestZoneBackpressure:
-    def _fleet(self, cap):
-        from repro.core.clock import SimClock
-        from repro.fleet.zone import build_zoned_rack
-
-        fleet = build_zoned_rack(4, 2, SimClock(), seed=0)
-        fleet.max_migrations_per_rack_step = cap
-        fleet.nodes_per_rack = 2
-        return fleet
-
-    def test_validation(self):
-        from repro.core.clock import SimClock
-        from repro.fleet.zone import ZoneController, FleetScheduler
-        from repro.cloudmgr.node import build_rack
-
-        clock = SimClock()
-        nodes = build_rack(2, clock=clock, seed=0)
-        zone = ZoneController(clock, nodes)
-        with pytest.raises(ConfigurationError):
-            FleetScheduler([zone], max_migrations_per_rack_step=0)
-        with pytest.raises(ConfigurationError):
-            FleetScheduler([zone], nodes_per_rack=0)
-
-    def test_capped_rack_is_withheld_and_counted(self):
-        fleet = self._fleet(cap=1)
-        # rack1 (node2, node3) already absorbed its quota this step.
-        fleet._rack_inflow[1] = 1
-        before = fleet.backpressure_deferrals
-        fleet._attempt_evacuation(fleet.zones[0], "node0")
-        # node1 shares rack0 with the source but is still open; the
-        # evacuation ran against {node1} only — no deferral counted
-        # unless every rack was capped.
-        fleet._rack_inflow[0] = 1
-        fleet._attempt_evacuation(fleet.zones[0], "node0")
-        assert fleet.backpressure_deferrals == before + 1
-
-    def test_inflow_resets_each_step(self):
-        fleet = self._fleet(cap=1)
-        fleet._rack_inflow[0] = 5
-        fleet.step(1.0)
-        assert fleet._rack_inflow == {}

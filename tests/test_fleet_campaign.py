@@ -155,6 +155,12 @@ class TestSnapshotResume:
         assert resumer.step_index == 30
         resumer.close()
 
+    @pytest.mark.parametrize("every", [0, -3])
+    def test_rejects_nonpositive_snapshot_period(self, tmp_path, every):
+        with pytest.raises(ConfigurationError, match="snapshot period"):
+            FleetCampaign(small_config(), snapshot_dir=tmp_path,
+                          snapshot_every_steps=every)
+
     def test_snapshot_requires_store(self):
         campaign = FleetCampaign(small_config())
         with pytest.raises(PersistenceError):

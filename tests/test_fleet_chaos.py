@@ -203,16 +203,3 @@ class TestCampaignUnderChaos:
         resumed.run()
         assert canonical_json(resumed.report()) == canonical_json(full)
         resumed.close()
-
-
-class TestZonedChaos:
-    def test_zoned_experiment_accepts_chaos_seed(self):
-        from repro.fleet import run_zoned_rack_experiment
-
-        experiment = run_zoned_rack_experiment(
-            n_nodes=4, shards=2, duration_s=1200.0, seed=0,
-            chaos_seed=5, chaos_rate_per_hour=20.0)
-        assert experiment.stats.arrivals >= 0
-        # The same seed drives the same plan as the vector layer.
-        plan = fleet_fault_plan(4, 1200.0, seed=5, rate_per_hour=20.0)
-        assert len(plan) > 0

@@ -3,11 +3,7 @@
 import pytest
 
 from repro.cloudmgr import CloudController, ComputeNode
-from repro.cloudmgr.simulation import (
-    TIER_MAP,
-    TraceDrivenSimulation,
-    run_trace_experiment,
-)
+from repro.cloudmgr.simulation import TIER_MAP, TraceDrivenSimulation
 from repro.core.clock import SimClock
 from repro.core.exceptions import ConfigurationError
 from repro.workloads.traces import TraceConfig, TraceGenerator
@@ -40,8 +36,18 @@ class TestSimulation:
         assert stats.arrivals == len(events)
         assert stats.admitted + stats.rejected == stats.arrivals
         assert stats.admitted > 0
+        assert stats.admission_rate > 0.9  # healthy rack absorbs this
         # Short lifetimes: most admitted VMs should have departed.
         assert stats.terminated > stats.admitted * 0.5
+
+    def test_healthy_rack_admits_default_lifetime_trace(self):
+        duration = 2 * 3600.0
+        cloud = make_cloud()
+        events = TraceGenerator(TraceConfig(base_rate_per_hour=15.0),
+                                seed=2).generate(duration)
+        stats = TraceDrivenSimulation(cloud, events, step_s=60.0).run(duration)
+        assert stats.arrivals > 0
+        assert stats.admission_rate > 0.9  # healthy rack absorbs this
 
     def test_rack_drains_after_the_stream(self):
         duration = 2 * 3600.0
@@ -125,13 +131,3 @@ class TestDepartureHeap:
         simulation._terminate_departed(600.0)
         assert simulation.stats.terminated == 1
         assert "vm0" not in simulation._departures
-
-
-class TestConvenienceWrapper:
-    def test_run_trace_experiment(self):
-        cloud = make_cloud()
-        stats = run_trace_experiment(cloud, duration_s=2 * 3600.0,
-                                     trace_seed=2,
-                                     base_rate_per_hour=15.0)
-        assert stats.arrivals > 0
-        assert stats.admission_rate > 0.9  # healthy rack absorbs this

@@ -13,10 +13,8 @@ from .failure_prediction import (
     HORIZONS,
     HorizonRisk,
     HorizonRiskReport,
-    LearnedFailurePredictor,
     MultiHorizonPredictor,
     NODE_FEATURES,
-    RiskAssessment,
     ThresholdFailurePredictor,
     node_features,
     predictor_from_state,
@@ -76,8 +74,7 @@ __all__ = [
     "TraceDrivenSimulation", "run_rack_experiment",
     "CloudController", "CloudStats", "ControllerStats",
     "DomainRisk", "HARVEST_FEATURES", "HORIZONS", "HorizonRisk",
-    "HorizonRiskReport", "LearnedFailurePredictor",
-    "MultiHorizonPredictor", "NODE_FEATURES", "RiskAssessment",
+    "HorizonRiskReport", "MultiHorizonPredictor", "NODE_FEATURES",
     "ThresholdFailurePredictor", "node_features", "predictor_from_state",
     "predictor_state", "sample_features", "score_harvest",
     "train_from_observations",

@@ -11,8 +11,9 @@ failure prediction and the migration manager.  The control loop each step:
 3. reconcile beliefs: declare nodes SUSPECT/DOWN from missed heartbeats,
    fail workloads over off long-dead nodes, attempt recoveries through
    the per-node circuit breaker;
-4. act on heartbeat-shipped risk verdicts; with proactive mode on,
-   evacuate at-risk nodes (retried with backoff on mid-flight aborts);
+4. act on heartbeat-shipped horizon risk reports; with proactive mode
+   on, evacuate at-risk nodes, nearest at-risk horizon first (retried
+   with backoff on mid-flight aborts);
 5. accrue SLA uptime/downtime per VM and reap completed VMs.
 
 Decision/actuation/measurement separation (the contract the chaos tests
@@ -82,6 +83,12 @@ class ControllerStats:
 
 #: Backwards-compatible alias (pre-resilience name).
 CloudStats = ControllerStats
+
+
+def _at_risk(view: NodeView) -> bool:
+    """Whether a node's last risk report flags any horizon."""
+    report = view.risk_report()
+    return report is not None and report.nearest_at_risk() is not None
 
 
 @dataclass
@@ -450,36 +457,22 @@ class CloudController:
                 "cloudmgr.migration.vms_received")
 
     def _handle_risk(self) -> None:
-        """Proactive evacuation from heartbeat-shipped risk verdicts.
+        """Proactive evacuation from heartbeat-shipped risk reports.
 
-        A node whose Predictor daemon is down ships no verdict — the
+        A node whose Predictor daemon is down ships no report — the
         controller simply cannot act proactively for it (degradation
         rung: prediction lost, reactive path still covers crashes).
         """
         now = self.clock.now
-        urgent: List[NodeView] = []
-        for view in self.health.schedulable_views():
-            beat = view.last
-            if beat is None or beat.risk is None or not beat.risk.at_risk:
-                continue
-            if not beat.active_vms:
-                continue
-            urgent.append(view)
+        urgent = [view for view in self.health.schedulable_views()
+                  if _at_risk(view) and view.last.active_vms]
         # Nearest-horizon risk first: a node predicted to fail within
-        # 15 minutes is drained before one flagged at the 4 h horizon.
-        # Nodes without a horizon report fall back to the scalar verdict
-        # (higher risk = treated as nearer); name breaks ties so the
-        # order — and thus every downstream placement — is deterministic.
-        def evacuation_priority(view: NodeView):
-            beat = view.last
-            report = beat.horizon_report
-            if report is not None:
-                horizon_s, neg_probability = report.urgency()
-            else:
-                horizon_s, neg_probability = float("inf"), -beat.risk.risk
-            return (horizon_s, neg_probability, view.name)
-
-        for view in sorted(urgent, key=evacuation_priority):
+        # 15 minutes is drained before one flagged at the 4 h horizon;
+        # name breaks ties so the order — and thus every downstream
+        # placement — is deterministic.
+        urgent.sort(key=lambda view: (*view.risk_report().urgency(),
+                                      view.name))
+        for view in urgent:
             pending = self._evac_retry.get(view.name)
             if pending is not None and now < pending.next_at:
                 continue
@@ -497,9 +490,7 @@ class CloudController:
         # heartbeat says it is at risk — that is migration ping-pong.
         # If *every* peer is flagged, fall back to the full set rather
         # than strand the VMs on the node predicted to fail first.
-        targets = [v for v in peers
-                   if v.last is None or v.last.risk is None
-                   or not v.last.risk.at_risk]
+        targets = [v for v in peers if not _at_risk(v)]
         if not targets:
             targets = peers
         attempted_from = len(self.migrations.records)

@@ -6,20 +6,18 @@ developing new techniques to efficiently predict the system level
 failures and proactively migrate the running workloads on the healthy
 nodes."
 
-Three predictors are provided:
+Two predictors are provided, and both answer with a
+:class:`HorizonRiskReport` — the one verdict heartbeats ship to the
+controller:
 
 * :class:`ThresholdFailurePredictor` — unsupervised, in the spirit of the
   log-analysis detectors the paper surveys [19]–[25]: a risk score from
   recent error rates, reliability trend and refresh/voltage aggression.
-* :class:`LearnedFailurePredictor` — supervised logistic model trained on
-  (node features → failed-within-horizon) labels collected from history,
-  reusing :class:`~repro.daemons.predictor.LogisticModel`.
 * :class:`MultiHorizonPredictor` — the full Section 5.B shape: one
   supervised model per prediction horizon (15 min / 1 h / 4 h), trained
   on telemetry harvested from sweep campaigns
-  (:mod:`repro.sweep.harvest`), emitting a confidence-scored
-  :class:`HorizonRiskReport` per node and per DRAM domain that
-  heartbeats ship to the controller.
+  (:mod:`repro.sweep.harvest`), emitting a confidence-scored report per
+  node and per DRAM domain.
 
 Every predictor round-trips through ``state_dict``/``load_state_dict``
 (the PR 3 crash-safe invariant), so a trained on-node model survives
@@ -115,16 +113,6 @@ def sample_features(sample: NodeSample) -> np.ndarray:
         float(sample.power_w) / 100.0,
         (float(sample.temperature_c) - 50.0) / 50.0,
     ])
-
-
-@dataclass(frozen=True)
-class RiskAssessment:
-    """A predictor's verdict on one node."""
-
-    node: str
-    risk: float
-    at_risk: bool
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -267,27 +255,23 @@ def domain_risks(node: ComputeNode, threshold: float,
     return tuple(sorted(risks, key=lambda r: r.domain))
 
 
-def _hazard_terms(features: np.ndarray) -> List[Tuple[str, float, str]]:
+def _hazard_terms(features: np.ndarray) -> List[Tuple[str, float]]:
     """The threshold predictor's additive hazard terms.
 
-    Returns ``(feature_name, term, description)`` triples for the terms
-    that fired; shared by :meth:`ThresholdFailurePredictor.assess` and
-    the heuristic fallback of untrained multi-horizon slices.
+    Returns ``(feature_name, term)`` pairs for the terms that fired over
+    a :data:`NODE_FEATURES` row.  (The multi-horizon fallback scores
+    :data:`HARVEST_FEATURES` rows with its own terms.)
     """
     ce_rate, reliability, margin_used, refresh_log2, _util = features
-    terms: List[Tuple[str, float, str]] = []
+    terms: List[Tuple[str, float]] = []
     if ce_rate > 0:
-        terms.append(("ce_rate", min(0.5, 0.08 * ce_rate),
-                      f"ce_rate={ce_rate:.2f}"))
+        terms.append(("ce_rate", min(0.5, 0.08 * ce_rate)))
     if reliability < 0.9:
-        terms.append(("reliability", 0.9 - reliability,
-                      f"reliability={reliability:.2f}"))
+        terms.append(("reliability", 0.9 - reliability))
     if margin_used > 0.15:
-        terms.append(("voltage_margin_used", (margin_used - 0.15) * 2.0,
-                      f"margin={margin_used:.2f}"))
+        terms.append(("voltage_margin_used", (margin_used - 0.15) * 2.0))
     if refresh_log2 > 5:  # beyond 32x nominal refresh
-        terms.append(("refresh_relaxation", 0.1 * (refresh_log2 - 5),
-                      f"refresh=2^{refresh_log2:.1f}"))
+        terms.append(("refresh_relaxation", 0.1 * (refresh_log2 - 5)))
     return terms
 
 
@@ -295,8 +279,9 @@ class ThresholdFailurePredictor:
     """Unsupervised risk scoring from error rates and margin aggression.
 
     The score composes additive hazard terms; ``threshold`` divides
-    healthy from at-risk.  Deliberately simple: this is the baseline the
-    learned predictors are compared against in the migration ablation.
+    healthy from at-risk.  Deliberately simple: this is the baseline arm
+    the :class:`MultiHorizonPredictor` is compared against in the
+    risk-aware migration A/B.
     """
 
     KIND = "threshold"
@@ -310,20 +295,8 @@ class ThresholdFailurePredictor:
             raise ConfigurationError("threshold must be in (0, 1)")
         self.threshold = threshold
 
-    def assess(self, node: ComputeNode,
-               telemetry: TelemetryService) -> RiskAssessment:
-        """Risk verdict for one node."""
-        features = node_features(node, telemetry)
-        terms = _hazard_terms(features)
-        risk = min(1.0, sum(term for _, term, _ in terms))
-        return RiskAssessment(
-            node=node.name, risk=risk, at_risk=risk >= self.threshold,
-            reason=", ".join(desc for _, _, desc in terms) or "healthy",
-        )
-
-    def report(self, node: ComputeNode, telemetry: TelemetryService,
-               assessment: Optional[RiskAssessment] = None,
-               ) -> HorizonRiskReport:
+    def report(self, node: ComputeNode,
+               telemetry: TelemetryService) -> HorizonRiskReport:
         """A degenerate horizon report from the single hazard score.
 
         The same instantaneous score is replicated across horizons with
@@ -332,9 +305,9 @@ class ThresholdFailurePredictor:
         """
         features = node_features(node, telemetry)
         terms = _hazard_terms(features)
-        risk = min(1.0, sum(term for _, term, _ in terms))
+        risk = min(1.0, sum(term for _, term in terms))
         contributors = tuple(
-            name for name, _, _ in
+            name for name, _ in
             sorted(terms, key=lambda t: (-t[1], t[0]))[:2])
         horizons = tuple(
             HorizonRisk(
@@ -357,121 +330,6 @@ class ThresholdFailurePredictor:
     def load_state_dict(self, state: Mapping[str, object]) -> None:
         """Restore the state saved by :meth:`state_dict`."""
         self.threshold = float(state["threshold"])  # type: ignore[arg-type]
-
-
-@dataclass
-class LabelledNodeObservation:
-    """One training example for the learned predictor."""
-
-    features: np.ndarray
-    failed_within_horizon: bool
-
-
-class LearnedFailurePredictor:
-    """Supervised node-failure predictor on collected history."""
-
-    KIND = "learned"
-
-    def __init__(self, threshold: float = 0.5,
-                 model: Optional[LogisticModel] = None) -> None:
-        if not 0 < threshold < 1:
-            raise ConfigurationError("threshold must be in (0, 1)")
-        self.threshold = threshold
-        self.model = model or LogisticModel(epochs=300)
-        self._observations: List[LabelledNodeObservation] = []
-
-    def observe(self, node: ComputeNode, telemetry: TelemetryService,
-                failed_within_horizon: bool) -> None:
-        """Record one labelled snapshot for later training."""
-        self._observations.append(LabelledNodeObservation(
-            features=node_features(node, telemetry),
-            failed_within_horizon=failed_within_horizon,
-        ))
-
-    @property
-    def n_observations(self) -> int:
-        """Number of labelled snapshots collected."""
-        return len(self._observations)
-
-    def train(self) -> None:
-        """Fit the model on the collected observations."""
-        if len(self._observations) < 10:
-            raise PredictionError(
-                "need at least 10 observations to train the node predictor"
-            )
-        features = np.vstack([o.features for o in self._observations])
-        labels = np.array([
-            1.0 if o.failed_within_horizon else 0.0
-            for o in self._observations
-        ])
-        self.model.fit(features, labels)
-
-    def assess(self, node: ComputeNode,
-               telemetry: TelemetryService) -> RiskAssessment:
-        """Risk verdict for one node."""
-        if not self.model.is_trained:
-            raise PredictionError("train the node predictor first")
-        features = node_features(node, telemetry)
-        risk = float(self.model.predict_proba(features)[0])
-        return RiskAssessment(
-            node=node.name, risk=risk, at_risk=risk >= self.threshold,
-            reason=f"learned risk {risk:.3f}",
-        )
-
-    def report(self, node: ComputeNode, telemetry: TelemetryService,
-               assessment: Optional[RiskAssessment] = None,
-               ) -> HorizonRiskReport:
-        """A degenerate horizon report from the single-horizon model."""
-        if assessment is None:
-            assessment = self.assess(node, telemetry)
-        obs_term = self.n_observations / (self.n_observations + 50.0)
-        features = node_features(node, telemetry)
-        contributions = self.model.contributions(features)
-        order = sorted(range(len(NODE_FEATURES)),
-                       key=lambda i: (-abs(contributions[i]),
-                                      NODE_FEATURES[i]))
-        contributors = tuple(NODE_FEATURES[i] for i in order[:2])
-        decay = {"15m": 1.0, "1h": 0.75, "4h": 0.5}
-        horizons = tuple(
-            HorizonRisk(
-                horizon=name, horizon_s=h_s,
-                probability=assessment.risk,
-                confidence=obs_term * decay.get(name, 0.5),
-                at_risk=assessment.at_risk,
-                contributors=contributors)
-            for name, h_s in HORIZONS
-        )
-        return HorizonRiskReport(
-            node=node.name, horizons=horizons,
-            domains=domain_risks(node, self.threshold))
-
-    # -- persistence -------------------------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable predictor state: model plus observations.
-
-        Round-trips everything :meth:`train` needs, so a predictor
-        restored mid-campaign can keep observing and retrain.
-        """
-        return {
-            "threshold": self.threshold,
-            "model": self.model.state_dict(),
-            "observations": [
-                [[float(x) for x in o.features], o.failed_within_horizon]
-                for o in self._observations
-            ],
-        }
-
-    def load_state_dict(self, state: Mapping[str, object]) -> None:
-        """Restore the state saved by :meth:`state_dict`."""
-        self.threshold = float(state["threshold"])  # type: ignore[arg-type]
-        self.model.load_state_dict(state["model"])  # type: ignore[arg-type]
-        self._observations = [
-            LabelledNodeObservation(
-                features=np.array([float(x) for x in features]),
-                failed_within_horizon=bool(failed))
-            for features, failed in state["observations"]  # type: ignore[union-attr]
-        ]
 
 
 #: Label sentinel for a censored observation (window ran past the end
@@ -663,9 +521,8 @@ class MultiHorizonPredictor:
             temperature_c=node.platform.chip.thermal.temperature_c,
         )
 
-    def report(self, node: ComputeNode, telemetry: TelemetryService,
-               assessment: Optional[RiskAssessment] = None,
-               ) -> HorizonRiskReport:
+    def report(self, node: ComputeNode,
+               telemetry: TelemetryService) -> HorizonRiskReport:
         """The full per-node, per-DRAM-domain horizon report."""
         features = sample_features(self._current_sample(node, telemetry))
         scored = self.probabilities(features)
@@ -681,25 +538,6 @@ class MultiHorizonPredictor:
         return HorizonRiskReport(
             node=node.name, horizons=horizons,
             domains=domain_risks(node, self.threshold))
-
-    def assess(self, node: ComputeNode,
-               telemetry: TelemetryService) -> RiskAssessment:
-        """Risk verdict for one node (nearest at-risk horizon rules)."""
-        report = self.report(node, telemetry)
-        nearest = report.nearest_at_risk()
-        if nearest is not None:
-            return RiskAssessment(
-                node=node.name, risk=nearest.probability, at_risk=True,
-                reason=(f"horizon {nearest.horizon}: "
-                        f"p={nearest.probability:.3f} "
-                        f"conf={nearest.confidence:.2f}"),
-            )
-        worst = max(report.horizons, key=lambda h: h.probability)
-        return RiskAssessment(
-            node=node.name, risk=worst.probability, at_risk=False,
-            reason=(f"healthy (worst horizon {worst.horizon}: "
-                    f"p={worst.probability:.3f})"),
-        )
 
     # -- persistence -------------------------------------------------------
 
@@ -811,7 +649,6 @@ def score_harvest(predictor: MultiHorizonPredictor,
 #: Predictor kinds rebuildable from a persisted state envelope.
 _PREDICTOR_KINDS = {
     "threshold": lambda: ThresholdFailurePredictor(),
-    "learned": lambda: LearnedFailurePredictor(),
     "multi_horizon": lambda: MultiHorizonPredictor(),
 }
 

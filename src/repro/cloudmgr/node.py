@@ -122,7 +122,7 @@ class ComputeNode:
         #: rebuilt on the next heartbeat, so not persisted).
         self.last_risk_report = None
         #: Chaos switches: the Predictor daemon is down (heartbeats ship
-        #: no risk verdict) / recovery commands are silently swallowed.
+        #: no risk report) / recovery commands are silently swallowed.
         self.predictor_down = False
         self.recovery_stuck = False
         if eop_policy is None:
@@ -321,31 +321,17 @@ class ComputeNode:
 
     # -- the control-plane self-report --------------------------------------
 
-    def _assess_risk(self):
-        """Node-local failure-risk verdict (None while Predictor down)."""
+    def _risk_report(self):
+        """Node-local horizon risk report (None while Predictor down)."""
         if self.predictor_down:
             self.runtime.metrics.inc("resilience.predictor.unavailable")
+            self.last_risk_report = None
             return None
         if self.risk_predictor is None:
             from .failure_prediction import ThresholdFailurePredictor
             self.risk_predictor = ThresholdFailurePredictor()
-        return self.risk_predictor.assess(self, self.local_telemetry)
-
-    def _risk_report(self, assessment):
-        """The predictor's horizon report, if it can produce one.
-
-        Down with the Predictor daemon (same degradation rung as the
-        scalar verdict); None for a predictor without horizon support.
-        """
-        if self.predictor_down or self.risk_predictor is None:
-            self.last_risk_report = None
-            return None
-        report_fn = getattr(self.risk_predictor, "report", None)
-        if report_fn is None:
-            self.last_risk_report = None
-            return None
-        self.last_risk_report = report_fn(self, self.local_telemetry,
-                                          assessment=assessment)
+        self.last_risk_report = self.risk_predictor.report(
+            self, self.local_telemetry)
         return self.last_risk_report
 
     def risk_report(self):
@@ -382,20 +368,14 @@ class ComputeNode:
             for vm in self.hypervisor.active_vms()
         )
         self.runtime.metrics.inc("resilience.heartbeats.emitted")
-        counts = self.governor.counts()
-        risk = self._assess_risk()
         return Heartbeat(
             timestamp=self.clock.now, node=self.name, metrics=metrics,
-            sample=sample, vm_samples=vm_samples, risk=risk,
-            info_vector_age_s=self.healthlog.info_vector_age_s(),
+            sample=sample, vm_samples=vm_samples,
             active_vms=tuple(
                 vm.name for vm in self.hypervisor.active_vms()),
-            margin_applications=self.hypervisor.stats.margin_applications,
             failure_budget=self.hypervisor.config.failure_budget,
             eop_adopted=self.governor.adopted_count(),
-            eop_demoted=counts[EOPState.DEMOTED.value],
-            eop_quarantined=counts[EOPState.QUARANTINED.value],
-            horizon_report=self._risk_report(risk),
+            horizon_report=self._risk_report(),
         )
 
     # -- persistence ---------------------------------------------------------

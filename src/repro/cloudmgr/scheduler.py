@@ -55,12 +55,7 @@ def sla_reliability_filter(node: ComputeNode, vm: VirtualMachine,
     governor — is safe for any tier regardless of its configured budget:
     it is not spending any margin right now.
     """
-    governor = getattr(node, "governor", None)
-    if governor is not None:
-        adopted = governor.adopted_count()
-    else:
-        adopted = node.hypervisor.stats.margin_applications
-    if adopted == 0:
+    if node.governor.adopted_count() == 0:
         return True
     return node.hypervisor.config.failure_budget <= sla.failure_budget
 

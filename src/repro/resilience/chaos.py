@@ -342,7 +342,7 @@ class ChaosEngine:
                 # The liveness signal survives; the payload does not.
                 # (A full partition is FaultKind.HEARTBEAT_LOSS.)
                 self._count(FaultKind.TELEMETRY_DROPOUT)
-                heartbeat = replace(heartbeat, risk=None, vm_samples=(),
+                heartbeat = replace(heartbeat, vm_samples=(),
                                     horizon_report=None)
         corrupt = self._active(
             FaultKind.TELEMETRY_CORRUPTION, node.name, now)

@@ -7,7 +7,7 @@ stops heartbeating might be dead, partitioned, or merely slow, and the
 controller must decide anyway.  This module is that epistemic layer:
 
 * :class:`Heartbeat` — the node's self-report: scheduling metrics,
-  telemetry samples, the node-local risk verdict and info-vector age;
+  telemetry samples and the node-local multi-horizon risk report;
 * :class:`NodeView` — the controller's belief about one node, built
   exclusively from received heartbeats.  It duck-types the scheduling
   surface of ``ComputeNode`` (``can_host``/``metrics``/``hypervisor``…)
@@ -32,8 +32,7 @@ from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 from ..core.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # import-free at runtime: cloudmgr imports us
-    from ..cloudmgr.failure_prediction import (HorizonRiskReport,
-                                               RiskAssessment)
+    from ..cloudmgr.failure_prediction import HorizonRiskReport
     from ..cloudmgr.node import NodeMetrics
     from ..cloudmgr.telemetry import NodeSample, VMSample
     from ..hypervisor.vm import VirtualMachine
@@ -52,25 +51,16 @@ class Heartbeat:
     metrics: "NodeMetrics"
     sample: "NodeSample"
     vm_samples: Tuple["VMSample", ...]
-    #: Node-local failure-risk verdict; None when the Predictor daemon
-    #: is down (one rung of the degradation ladder).
-    risk: Optional["RiskAssessment"]
-    #: Age of the newest HealthLog info vector at emission time.
-    info_vector_age_s: float
     #: Names of VMs active on the node (for evacuation planning).
     active_vms: Tuple[str, ...]
-    #: EOP bookkeeping the SLA filters need.
-    margin_applications: int = 0
+    #: The node's failure budget, for the SLA reliability filter.
     failure_budget: float = 1e-4
-    #: Governor state counts (components currently adopted / demoted /
-    #: quarantined) — the cloud's view of the node's EOP control plane.
+    #: Components currently running an extended operating point — the
+    #: SLA reliability filter's "is this node spending margin" signal.
     eop_adopted: int = 0
-    eop_demoted: int = 0
-    eop_quarantined: int = 0
-    #: Full multi-horizon risk report (probability + confidence per
-    #: horizon, per-DRAM-domain hazards); None when the node's
-    #: predictor cannot produce one (Predictor daemon down, or a
-    #: predictor without horizon support).
+    #: The node-local failure-risk verdict: probability and confidence
+    #: per horizon, per-DRAM-domain hazards.  None when the Predictor
+    #: daemon is down (one rung of the degradation ladder).
     horizon_report: Optional["HorizonRiskReport"] = None
 
 
@@ -86,15 +76,15 @@ def heartbeat_to_dict(heartbeat: Heartbeat) -> Dict[str, object]:
 def heartbeat_from_dict(state: Dict[str, object]) -> Heartbeat:
     """Rebuild a heartbeat saved by :func:`heartbeat_to_dict`.
 
-    Imports are local: this module is imported by ``cloudmgr`` at class
+    Unknown keys are ignored, so heartbeats saved by older versions
+    (which also carried a scalar ``risk`` verdict) still load.  Imports
+    are local: this module is imported by ``cloudmgr`` at class
     definition time, so the concrete sample types only resolve lazily.
     """
-    from ..cloudmgr.failure_prediction import (HorizonRiskReport,
-                                               RiskAssessment)
+    from ..cloudmgr.failure_prediction import HorizonRiskReport
     from ..cloudmgr.node import NodeMetrics
     from ..cloudmgr.telemetry import NodeSample, VMSample
 
-    risk = state["risk"]
     report = state.get("horizon_report")
     return Heartbeat(
         timestamp=float(state["timestamp"]),  # type: ignore[arg-type]
@@ -103,14 +93,9 @@ def heartbeat_from_dict(state: Dict[str, object]) -> Heartbeat:
         sample=NodeSample(**state["sample"]),  # type: ignore[arg-type]
         vm_samples=tuple(VMSample(**s)
                          for s in state["vm_samples"]),  # type: ignore[union-attr]
-        risk=None if risk is None else RiskAssessment(**risk),  # type: ignore[arg-type]
-        info_vector_age_s=float(state["info_vector_age_s"]),  # type: ignore[arg-type]
         active_vms=tuple(str(v) for v in state["active_vms"]),  # type: ignore[union-attr]
-        margin_applications=int(state["margin_applications"]),  # type: ignore[arg-type]
         failure_budget=float(state["failure_budget"]),  # type: ignore[arg-type]
         eop_adopted=int(state.get("eop_adopted", 0)),  # type: ignore[arg-type]
-        eop_demoted=int(state.get("eop_demoted", 0)),  # type: ignore[arg-type]
-        eop_quarantined=int(state.get("eop_quarantined", 0)),  # type: ignore[arg-type]
         horizon_report=(None if report is None
                         else HorizonRiskReport.from_dict(report)),  # type: ignore[arg-type]
     )
@@ -275,8 +260,6 @@ class NodeView:
         hb = self.last
         return SimpleNamespace(
             crashed=self.state is not NodeStatus.HEALTHY or hb is None,
-            stats=SimpleNamespace(
-                margin_applications=hb.margin_applications if hb else 0),
             config=SimpleNamespace(
                 failure_budget=hb.failure_budget if hb else 1e-4),
         )
@@ -285,9 +268,10 @@ class NodeView:
     def governor(self) -> SimpleNamespace:
         """Shim for scheduler filters that peek at ``node.governor``.
 
-        Mirrors the heartbeat's governor counts so the reliability
-        filter sees the same "is this node spending margin right now"
-        signal it reads from a live :class:`~repro.eop.EOPGovernor`.
+        Mirrors the heartbeat's adopted-component count so the
+        reliability filter sees the same "is this node spending margin
+        right now" signal it reads from a live
+        :class:`~repro.eop.EOPGovernor`.
         """
         hb = self.last
         adopted = hb.eop_adopted if hb else 0

@@ -129,7 +129,7 @@ class TestChaosEngine:
         beat = node.heartbeat()
         filtered = engine.filter_heartbeat(node, beat, now=50.0)
         assert filtered is not None  # liveness survives
-        assert filtered.risk is None
+        assert filtered.horizon_report is None
         assert filtered.vm_samples == ()
         assert filtered.node == beat.node
 

@@ -82,6 +82,17 @@ class TestCommands:
         assert "100-chip population" in out
         assert "classical yield" in out
 
+    def test_population_seed_0_is_not_the_default_seed(self, capsys):
+        """An explicit ``--seed 0`` runs seed 0; only an absent
+        ``--seed`` takes the command's bench seed (42)."""
+        def run(*seed):
+            assert main([*seed, "population", "--chips", "200"]) == 0
+            return capsys.readouterr().out
+
+        seed_42 = run("--seed", "42")
+        assert run("--seed", "0") != seed_42
+        assert run() == seed_42
+
     def test_characterize_i5(self, capsys):
         assert main(["characterize", "--chip", "i5"]) == 0
         out = capsys.readouterr().out

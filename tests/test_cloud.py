@@ -3,16 +3,18 @@
 import pytest
 
 from repro.cloudmgr import (
+    HORIZONS,
     CloudController,
     ComputeNode,
-    LearnedFailurePredictor,
+    HorizonRisk,
+    HorizonRiskReport,
     ThresholdFailurePredictor,
     node_features,
 )
 from repro.cloudmgr.sla import BRONZE, SILVER
 from repro.cloudmgr.telemetry import TelemetryService
 from repro.core.clock import SimClock
-from repro.core.exceptions import ConfigurationError, PredictionError
+from repro.core.exceptions import ConfigurationError
 from repro.hypervisor.vm import VirtualMachine
 from repro.workloads import spec_workload
 
@@ -85,10 +87,10 @@ class TestThresholdPredictor:
     def test_healthy_node_is_low_risk(self):
         clock = SimClock()
         node = ComputeNode("n0", clock)
-        assessment = ThresholdFailurePredictor().assess(
+        report = ThresholdFailurePredictor().report(
             node, TelemetryService())
-        assert not assessment.at_risk
-        assert assessment.reason == "healthy"
+        assert report.nearest_at_risk() is None
+        assert all(not h.contributors for h in report.horizons)
 
     def test_aggressive_margins_raise_risk(self):
         clock = SimClock()
@@ -96,10 +98,10 @@ class TestThresholdPredictor:
         nominal = node.platform.chip.spec.nominal
         node.platform.set_all_core_points(
             nominal.with_voltage(nominal.voltage_v * 0.7))
-        assessment = ThresholdFailurePredictor().assess(
-            node, TelemetryService())
-        assert assessment.risk > 0.2
-        assert "margin" in assessment.reason
+        near = ThresholdFailurePredictor().report(
+            node, TelemetryService()).horizon("15m")
+        assert near.probability > 0.2
+        assert "voltage_margin_used" in near.contributors
 
     def test_feature_vector_shape(self):
         clock = SimClock()
@@ -110,36 +112,6 @@ class TestThresholdPredictor:
     def test_threshold_validation(self):
         with pytest.raises(ConfigurationError):
             ThresholdFailurePredictor(threshold=0.0)
-
-
-class TestLearnedPredictor:
-    def test_train_and_assess(self):
-        clock = SimClock()
-        telemetry = TelemetryService()
-        predictor = LearnedFailurePredictor()
-        healthy = ComputeNode("h", clock, seed=1)
-        risky = ComputeNode("r", clock, seed=2)
-        nominal = risky.platform.chip.spec.nominal
-        risky.platform.set_all_core_points(
-            nominal.with_voltage(nominal.voltage_v * 0.7))
-        for _ in range(10):
-            predictor.observe(healthy, telemetry,
-                              failed_within_horizon=False)
-            predictor.observe(risky, telemetry, failed_within_horizon=True)
-        predictor.train()
-        assert predictor.assess(risky, telemetry).risk > \
-            predictor.assess(healthy, telemetry).risk
-
-    def test_needs_training_data(self):
-        predictor = LearnedFailurePredictor()
-        with pytest.raises(PredictionError):
-            predictor.train()
-
-    def test_assess_before_training_rejected(self):
-        clock = SimClock()
-        node = ComputeNode("n0", clock)
-        with pytest.raises(PredictionError):
-            LearnedFailurePredictor().assess(node, TelemetryService())
 
 
 class TestProactiveMigration:
@@ -173,6 +145,35 @@ class TestProactiveMigration:
         assert cloud.stats.evacuations >= 1
         landed = cloud.locate("vm0")
         assert landed.name not in (home.name, doomed_peer.name)
+
+    def test_nearest_horizon_node_is_drained_first(self, monkeypatch):
+        """The node at risk soonest is evacuated first, even when its
+        name sorts after the other at-risk node's."""
+        flagged = {"node3": "15m", "node2": "4h"}
+
+        class FixedReports:
+            def report(self, node, telemetry):
+                at = flagged.get(node.name)
+                return HorizonRiskReport(node=node.name, horizons=tuple(
+                    HorizonRisk(horizon=name, horizon_s=horizon_s,
+                                probability=0.9 if name == at else 0.1,
+                                confidence=0.5, at_risk=name == at)
+                    for name, horizon_s in HORIZONS))
+
+        clock = SimClock()
+        nodes = [ComputeNode(f"node{i}", clock, seed=i) for i in range(4)]
+        cloud = CloudController(clock, nodes, predictor=FixedReports())
+        calls = []
+        monkeypatch.setattr(cloud, "_attempt_evacuation", calls.append)
+        # One launch per control step: identical idle nodes tie, so the
+        # first VM lands on node3 and the second on node2.
+        for i in range(2):
+            calls.clear()
+            cloud.launch(make_vm(f"vm{i}", cycles=1e12), SILVER)
+            cloud.run(1.0)
+        assert [cloud.locate(f"vm{i}").name for i in range(2)] == \
+            ["node3", "node2"]
+        assert calls == ["node3", "node2"]
 
     def test_reactive_mode_leaves_vms_in_place(self):
         cloud = make_cloud(n_nodes=3, proactive=False)

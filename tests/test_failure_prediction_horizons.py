@@ -39,6 +39,43 @@ def _report(at_risk_15m=False, probability=0.7, confidence=0.8):
     )
 
 
+#: ``heartbeat_to_dict`` of a fresh node's first heartbeat, as the
+#: previous format wrote it: with the scalar ``risk`` verdict and four
+#: fields heartbeats no longer carry.
+_OLDER_FORMAT_HEARTBEAT = {
+    "timestamp": 0.0, "node": "n0",
+    "metrics": {"node": "n0", "availability": 1.0, "utilization": 0.0,
+                "power_w": 38.04737102066822, "reliability": 1.0,
+                "free_vcpus": 16, "free_memory_mb": 32568.0,
+                "frequency_fraction": 1.0},
+    "sample": {"timestamp": 0.0, "node": "n0", "utilization": 0.0,
+               "power_w": 38.04737102066822, "reliability": 1.0,
+               "correctable_errors": 0, "temperature_c": 25.0},
+    "vm_samples": [],
+    "risk": {"node": "n0", "risk": 0, "at_risk": False,
+             "reason": "healthy"},
+    "info_vector_age_s": 0.0,
+    "active_vms": [],
+    "margin_applications": 0,
+    "failure_budget": 0.0001,
+    "eop_adopted": 0,
+    # The dropped governor counts, one key per demoted/quarantined state.
+    **{f"eop_{state}": 0 for state in ("demoted", "quarantined")},
+    "horizon_report": {
+        "node": "n0",
+        "horizons": [
+            {"horizon": name, "horizon_s": horizon_s, "probability": 0,
+             "confidence": confidence, "at_risk": False,
+             "contributors": []}
+            for name, horizon_s, confidence in (
+                ("15m", 900.0, 0.6), ("1h", 3600.0, 0.45),
+                ("4h", 14400.0, 0.3))],
+        "domains": [{"domain": f"channel{i}", "probability": 0.0,
+                     "at_risk": False} for i in range(4)],
+    },
+}
+
+
 def _observation(node, timestamp, reliability, labels, lead_s=None):
     full = {"15m": None, "1h": None, "4h": None}
     full.update(labels)
@@ -62,9 +99,10 @@ class TestNodeFeatureRegressions:
         assert not node.platform.chip.active_cores()
         features = node_features(node, TelemetryService())
         assert features[2] == 0.0  # voltage_margin_used
-        verdict = ThresholdFailurePredictor().assess(
+        report = ThresholdFailurePredictor().report(
             node, TelemetryService())
-        assert "margin" not in verdict.reason
+        assert all("voltage_margin_used" not in h.contributors
+                   for h in report.horizons)
 
     def test_zero_dram_domains_does_not_raise(self):
         """max() over no domains raised ValueError (the empty-domains
@@ -223,6 +261,12 @@ class TestHeartbeatRoundTrip:
         state = heartbeat_to_dict(node.heartbeat())
         del state["horizon_report"]
         assert heartbeat_from_dict(state).horizon_report is None
+
+    def test_older_format_heartbeat_dict_loads(self):
+        """Keys the heartbeat no longer carries are ignored on load."""
+        node = ComputeNode("n0", SimClock())
+        assert heartbeat_from_dict(_OLDER_FORMAT_HEARTBEAT) == \
+            node.heartbeat()
 
 
 class TestRiskAwareWeigher:

@@ -418,16 +418,16 @@ class TestPredictorPersistence:
         assert (clone.predict_proba(probe)
                 == model.predict_proba(probe)).all()
 
-    def test_learned_predictor_round_trip(self):
+    def test_threshold_predictor_round_trip(self):
         from repro.cloudmgr import (
-            LearnedFailurePredictor,
+            ThresholdFailurePredictor,
             predictor_from_state,
             predictor_state,
         )
 
-        predictor = LearnedFailurePredictor(threshold=0.4)
+        predictor = ThresholdFailurePredictor(threshold=0.4)
         restored = predictor_from_state(predictor_state(predictor))
-        assert isinstance(restored, LearnedFailurePredictor)
+        assert isinstance(restored, ThresholdFailurePredictor)
         assert restored.threshold == 0.4
         assert canonical_json(restored.state_dict()) == \
             canonical_json(predictor.state_dict())

@@ -1,6 +1,9 @@
 """Tests for the CPU core crash model."""
 
+import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from repro.core.eop import OperatingPoint
 from repro.core.exceptions import ConfigurationError, MachineCrash
@@ -125,6 +128,22 @@ class TestCrashProbability:
         core = CoreModel(0, params(run_noise_sigma_v=0.002))
         p = core.crash_probability(OperatingPoint(0.6, 2.6e9), profile())
         assert p > 1 - 1e-9
+
+    def test_ndtr_is_norm_cdf_bit_for_bit(self, cdf_grid):
+        """The closed form's CDF: same bits from ``scipy.special``."""
+        np.testing.assert_array_equal(
+            ndtr(cdf_grid).view(np.uint64), norm.cdf(cdf_grid).view(np.uint64))
+
+    @pytest.mark.parametrize("voltage", [0.6, 0.74, 0.78, 0.8, 0.86, 0.95])
+    @pytest.mark.parametrize("sigma", [0.0, 0.002, 0.003])
+    def test_equals_norm_formula(self, voltage, sigma):
+        core = CoreModel(0, params(run_noise_sigma_v=sigma))
+        point = OperatingPoint(voltage, 2.2e9)
+        w = profile(droop=0.7, sens=0.9)
+        expected = float(norm.cdf(
+            (core.crash_voltage_v(w, point.frequency_hz) - voltage)
+            / max(sigma, 1e-6)))
+        assert core.crash_probability(point, w).hex() == expected.hex()
 
 
 class TestIsolation:

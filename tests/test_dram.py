@@ -1,6 +1,11 @@
 """Tests for the DRAM retention model and refresh domains."""
 
+import math
+
+import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
+from scipy.stats import norm
 
 from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.exceptions import ConfigurationError
@@ -59,6 +64,51 @@ class TestRetentionModel:
             RetentionModel().ber(0.0)
         with pytest.raises(ConfigurationError):
             RetentionModel().max_interval_for_ber(0.0)
+
+
+class TestGaussianTailEquivalence:
+    """``scipy.special`` returns exactly the bits ``scipy.stats.norm`` does,
+    so the retention model can use it without moving any digest."""
+
+    def test_ndtr_is_norm_cdf_bit_for_bit(self, cdf_grid):
+        # Bit patterns, so -0.0 and 0.0 would compare unequal.
+        np.testing.assert_array_equal(
+            ndtr(cdf_grid).view(np.uint64), norm.cdf(cdf_grid).view(np.uint64))
+
+    def test_ndtri_is_norm_ppf_bit_for_bit(self, ppf_grid):
+        np.testing.assert_array_equal(
+            ndtri(ppf_grid).view(np.uint64), norm.ppf(ppf_grid).view(np.uint64))
+
+    @pytest.mark.parametrize("interval_s", [0.064, 1.5, 5.0, 40.0, 1e4])
+    @pytest.mark.parametrize("temperature_c", [None, 25.0, 85.0])
+    def test_ber_equals_norm_formula(self, interval_s, temperature_c):
+        from repro.hardware.thermal import retention_temperature_factor
+
+        model = RetentionModel()
+        temp = (model.reference_temp_c if temperature_c is None
+                else temperature_c)
+        factor = retention_temperature_factor(temp, model.reference_temp_c)
+        z = ((math.log(interval_s / factor) - model.mu_ln_s)
+             / model.sigma_ln_s)
+        expected = float(norm.cdf(z))
+        assert model.ber(interval_s, temperature_c).hex() == expected.hex()
+
+    @pytest.mark.parametrize("ber_target", [1e-300, 1e-12, 1e-9, 0.5,
+                                            1.0 - 1e-16])
+    @pytest.mark.parametrize("temperature_c", [None, 65.0])
+    def test_max_interval_equals_norm_formula(self, ber_target,
+                                              temperature_c):
+        from repro.hardware.thermal import retention_temperature_factor
+
+        model = RetentionModel()
+        temp = (model.reference_temp_c if temperature_c is None
+                else temperature_c)
+        factor = retention_temperature_factor(temp, model.reference_temp_c)
+        expected = float(math.exp(
+            model.mu_ln_s + norm.ppf(ber_target) * model.sigma_ln_s)
+            * factor)
+        got = model.max_interval_for_ber(ber_target, temperature_c)
+        assert got.hex() == expected.hex()
 
 
 class TestMemoryDomain:

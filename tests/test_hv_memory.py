@@ -101,6 +101,22 @@ class TestPlacement:
                    for _ in range(500))
         assert hits == 500  # only critical data in the domain
 
+    def test_error_hit_probability_at_a_fractional_share(self, memory):
+        policy = PlacementPolicy(memory, use_reliable_domain=False)
+        policy.place("hypervisor", 1000.0, critical=True)
+        for i in range(3):   # one per remaining channel
+            policy.place(f"vm{i}", 1000.0)
+        policy.place("vm3", 3000.0)   # back beside the hypervisor
+        domain = policy.allocations[0].domain
+        assert policy.allocations[-1].domain == domain
+        rng = np.random.default_rng(0)
+        hits = sum(policy.error_hits_critical(domain, rng)
+                   for _ in range(4000))
+        # One uniform per call against the 1000/4000 critical share.
+        expected = int((np.random.default_rng(0).random(4000) < 0.25).sum())
+        assert hits == expected
+        assert 900 < hits < 1100
+
     def test_error_in_unused_domain_is_harmless(self, memory):
         policy = PlacementPolicy(memory)
         rng = np.random.default_rng(0)

@@ -1,12 +1,17 @@
 """Tests for the hypervisor engine."""
 
+import functools
+import json
+
 import pytest
 
 from repro.core.clock import SimClock
 from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
+from repro.core.events import CrashEvent
 from repro.core.exceptions import ConfigurationError
 from repro.daemons.infovector import ComponentMargin, MarginVector
 from repro.hardware import build_uniserver_node
+from repro.hardware.faults import FaultClass, FaultOrigin
 from repro.hypervisor import (
     Hypervisor,
     HypervisorConfig,
@@ -224,19 +229,20 @@ class TestExecution:
         assert len(hv.accountant.samples) == 5
 
 
+def relaxed_hv(interval_s, use_reliable=True, seed=0):
+    clock = SimClock()
+    platform = build_uniserver_node()
+    config = HypervisorConfig(use_reliable_domain=use_reliable)
+    hv = Hypervisor(platform, clock, config=config, seed=seed)
+    hv.boot()
+    platform.memory.relax_all(interval_s, keep_reliable_nominal=use_reliable)
+    return hv
+
+
 class TestDramErrorHandling:
-    def _relaxed_hv(self, interval_s, use_reliable=True, seed=0):
-        clock = SimClock()
-        platform = build_uniserver_node()
-        config = HypervisorConfig(use_reliable_domain=use_reliable)
-        hv = Hypervisor(platform, clock, config=config, seed=seed)
-        hv.boot()
-        platform.memory.relax_all(interval_s,
-                                  keep_reliable_nominal=use_reliable)
-        return hv
 
     def test_moderate_relaxation_is_quiet(self):
-        hv = self._relaxed_hv(1.5)
+        hv = relaxed_hv(1.5)
         for vm in make_vm_fleet(ldbc_workload(), 2):
             hv.create_vm(vm)
         for _ in range(50):
@@ -244,7 +250,7 @@ class TestDramErrorHandling:
         assert hv.stats.host_crashes == 0
 
     def test_extreme_relaxation_with_reliable_domain_hits_vms_not_host(self):
-        hv = self._relaxed_hv(40.0, use_reliable=True, seed=3)
+        hv = relaxed_hv(40.0, use_reliable=True, seed=3)
         for vm in make_vm_fleet(ldbc_workload(scale_factor=8.0), 3):
             hv.create_vm(vm)
         for _ in range(200):
@@ -253,7 +259,7 @@ class TestDramErrorHandling:
         assert hv.stats.host_crashes == 0
 
     def test_extreme_relaxation_without_reliable_domain_crashes_host(self):
-        hv = self._relaxed_hv(40.0, use_reliable=False, seed=3)
+        hv = relaxed_hv(40.0, use_reliable=False, seed=3)
         for vm in make_vm_fleet(ldbc_workload(scale_factor=8.0), 3):
             hv.create_vm(vm)
         for _ in range(400):
@@ -263,7 +269,7 @@ class TestDramErrorHandling:
         assert hv.stats.host_crashes > 0
 
     def test_reboot_recovers_host(self):
-        hv = self._relaxed_hv(40.0, use_reliable=False, seed=3)
+        hv = relaxed_hv(40.0, use_reliable=False, seed=3)
         for vm in make_vm_fleet(ldbc_workload(scale_factor=8.0), 3):
             hv.create_vm(vm)
         for _ in range(400):
@@ -274,3 +280,106 @@ class TestDramErrorHandling:
         hv.reboot()
         assert not hv.crashed
         assert all(vm.state is VMState.RUNNING for vm in hv.vms)
+
+
+def scalar_dram_errors(hv, dt_s):
+    """Reference retention-error loop: one draw per error, one record per
+    SDC.  ``Hypervisor._handle_dram_errors`` must match it bit for bit."""
+    for domain in hv.platform.memory.relaxed_domains():
+        rate = hv._domain_error_rate_per_s(domain)
+        n_errors = int(hv._rng.poisson(rate * dt_s))
+        for _ in range(n_errors):
+            if hv.placement.error_hits_critical(domain.name, hv._rng):
+                hv._crashed = True
+                hv.stats.host_crashes += 1
+                hv._record_fault(FaultClass.CRASH, FaultOrigin.DRAM,
+                                 domain.name, "critical state hit")
+                hv.bus.publish(CrashEvent(
+                    timestamp=hv.clock.now, source="hypervisor",
+                    component=domain.name,
+                    operating_point=(
+                        f"refresh {domain.refresh_interval_s:.2f} s"),
+                ))
+                return
+            hv.stats.vm_sdc_events += 1
+            hv._record_fault(
+                FaultClass.SILENT_DATA_CORRUPTION, FaultOrigin.DRAM,
+                domain.name, "guest page",
+            )
+
+
+def critical_share(hv, domain_name):
+    """Critical fraction of a domain's used memory, from the allocations."""
+    rows = [a for a in hv.placement.allocations if a.domain == domain_name]
+    return (sum(a.size_mb for a in rows if a.critical)
+            / sum(a.size_mb for a in rows))
+
+
+class TestBatchedDramErrors:
+    """The batched retention-error loop against the scalar reference."""
+
+    def run_both(self, interval_s, use_reliable, n_vms, ticks, seed=3):
+        """Tick a hypervisor and its scalar-reference twin, rebooting after
+        each host crash; assert equal end states and return the batched
+        one with the fault records of each crashing tick."""
+        sides = []
+        for reference in (False, True):
+            hv = relaxed_hv(interval_s, use_reliable=use_reliable, seed=seed)
+            for vm in make_vm_fleet(ldbc_workload(scale_factor=8.0), n_vms):
+                hv.create_vm(vm)
+            if reference:
+                hv._handle_dram_errors = functools.partial(
+                    scalar_dram_errors, hv)
+            crashes = []
+            hv.bus.subscribe(CrashEvent, crashes.append)
+            crash_ticks = []
+            for _ in range(ticks):
+                before = len(hv.platform.faults)
+                hv.tick()
+                if hv.crashed:
+                    crash_ticks.append(hv.platform.faults.records[before:])
+                    hv.reboot()
+            sides.append((hv, crashes, crash_ticks))
+        (batched, crashes, crash_ticks), (scalar, scalar_crashes, _) = sides
+        assert batched.stats == scalar.stats
+        # JSON text: key order and every float's exact repr count.
+        for state in (lambda hv: hv.platform.faults.state_dict(),
+                      lambda hv: hv.metrics.snapshot(),
+                      lambda hv: hv._rng.bit_generator.state):
+            assert json.dumps(state(batched)) == json.dumps(state(scalar))
+        assert crashes == scalar_crashes
+        return batched, crash_ticks
+
+    def test_share_zero_every_error_is_an_sdc(self):
+        hv, crash_ticks = self.run_both(10.0, use_reliable=True, n_vms=3,
+                                        ticks=20)
+        assert all(critical_share(hv, d.name) == 0.0
+                   for d in hv.platform.memory.relaxed_domains())
+        assert hv.stats.vm_sdc_events > 1000
+        assert hv.stats.host_crashes == 0 and crash_ticks == []
+
+    def test_fractional_share_sdcs_precede_the_crash(self):
+        hv, crash_ticks = self.run_both(5.0, use_reliable=False, n_vms=4,
+                                        ticks=30)
+        assert 0.0 < critical_share(hv, "channel0") < 1.0
+        assert hv.stats.host_crashes == len(crash_ticks) > 0
+        # In some crashing tick, guest-page SDCs drawn in the critical
+        # domain came before the critical hit.
+        preceded = [
+            records for records in crash_ticks
+            if len(records) > 1
+            and records[-1].fault_class is FaultClass.CRASH
+            and records[-2].fault_class is FaultClass.SILENT_DATA_CORRUPTION
+            and records[-2].component == records[-1].component == "channel0"
+        ]
+        assert preceded
+
+    def test_share_one_first_error_crashes(self):
+        hv, crash_ticks = self.run_both(10.0, use_reliable=False, n_vms=3,
+                                        ticks=10)
+        assert critical_share(hv, "channel0") == 1.0
+        assert hv.stats.host_crashes == len(crash_ticks) > 1
+        for records in crash_ticks:
+            assert records[-1].fault_class is FaultClass.CRASH
+            assert records[-1].component == "channel0"
+            assert not any(r.component == "channel0" for r in records[:-1])

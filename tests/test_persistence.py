@@ -1,10 +1,13 @@
 """Crash-safe campaign runtime: snapshots, journal, auditor, resume."""
 
 import hashlib
+import io
 import json
+import shutil
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from repro.persistence import (
     canonical_json,
     payload_checksum,
 )
+from repro.persistence.snapshot import SNAPSHOT_VERSION, _coerce
 
 #: Tiny but chaotic: enough faults that crashes, recoveries, breaker
 #: trips and RNG-consuming interceptions all actually happen.
@@ -40,6 +44,12 @@ def _headline(result):
 
 def _metrics_digest(campaign):
     return payload_checksum(campaign.cloud.metrics_snapshot())
+
+
+def _run_digest(campaign, result):
+    """Digest of a finished campaign: headline numbers plus metrics."""
+    return payload_checksum({"result": _headline(result),
+                             "metrics": campaign.cloud.metrics_snapshot()})
 
 
 # -- snapshot store --------------------------------------------------------
@@ -103,6 +113,25 @@ class TestSnapshotStore:
         path.write_text(json.dumps(envelope))
         with pytest.raises(PersistenceError):
             store.load_generation(0)
+
+
+    def test_file_bytes_are_the_json_dump_encoding(self, tmp_path):
+        """One C-encoded write gives the bytes the streaming ``json.dump``
+        gave: insertion order (not sorted), numpy scalars coerced, every
+        float's repr, non-ASCII escaped."""
+        payload = {
+            "zeta": {"b": np.int64(7), "a": [np.float64(0.1), 1e-300]},
+            "alpha": {"naïve": "café ✓", "on": np.bool_(True)},
+            "mid": [np.float32(1.5), np.uint8(3), -0.0, 2 ** 70, None],
+        }
+        path = SnapshotStore(tmp_path).save(42, payload)
+        body = {"version": SNAPSHOT_VERSION, "step": 42, "payload": payload}
+        envelope = {"checksum": payload_checksum(body), "body": body}
+        streamed = io.StringIO()
+        json.dump(envelope, streamed, default=_coerce)
+        written = path.read_bytes()
+        assert written == streamed.getvalue().encode("utf-8")
+        assert written.index(b'"zeta"') < written.index(b'"alpha"')
 
 
 class TestJournal:
@@ -259,6 +288,31 @@ class TestDiskResume:
             result = resumed.run()
         assert _headline(result) == _headline(result_ref)
         assert _metrics_digest(resumed) == _metrics_digest(reference)
+
+    def test_dense_rack_resumes_from_each_generation(self, tmp_path):
+        """Restore order is behaviour: a dense rack resumed from any
+        generation ends where the uninterrupted run does.  A file with
+        sorted keys would restore ``trace-vm10`` before ``trace-vm9``
+        and diverge."""
+        dense = CampaignConfig(n_nodes=2, duration_s=900.0, seed=0,
+                               policies="on", rate_per_hour=2.0,
+                               base_rate_per_hour=1200.0)
+        full = tmp_path / "full"
+        reference = PersistentCampaign(
+            dense, snapshot_dir=full, snapshot_every_s=300.0, keep=10)
+        digest = _run_digest(reference, reference.run())
+        assert SnapshotStore(full, keep=10).generations() == [0, 5, 10, 15]
+        for cut in (5, 10):
+            directory = tmp_path / f"after-{cut}"
+            shutil.copytree(full, directory)
+            store = SnapshotStore(directory, keep=10)
+            for step in store.generations():
+                if step > cut:
+                    store.snapshot_path(step).unlink()
+                    store.journal_path(step).unlink(missing_ok=True)
+            resumed = PersistentCampaign.resume(
+                directory, snapshot_every_s=300.0, keep=10)
+            assert _run_digest(resumed, resumed.run()) == digest
 
     def test_resume_replays_journal_to_the_crash_step(self, tmp_path):
         campaign = PersistentCampaign(

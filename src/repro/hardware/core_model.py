@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError, MachineCrash
@@ -162,11 +163,9 @@ class CoreModel:
         This is the ground-truth quantity the Predictor daemon estimates
         from observations.
         """
-        from scipy.stats import norm
-
         expected = self.crash_voltage_v(profile, point.frequency_hz)
         sigma = max(self.params.run_noise_sigma_v, 1e-6)
-        return float(norm.cdf((expected - point.voltage_v) / sigma))
+        return float(ndtr((expected - point.voltage_v) / sigma))
 
     def check_run(self, point: OperatingPoint, profile: StressProfile,
                   raise_on_crash: bool = False) -> bool:

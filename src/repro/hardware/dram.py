@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S
 from ..core.exceptions import ConfigurationError
@@ -85,7 +85,7 @@ class RetentionModel:
         # Hotter => shorter retention => the effective interval grows.
         effective_interval = refresh_interval_s / factor
         z = (math.log(effective_interval) - self.mu_ln_s) / self.sigma_ln_s
-        return float(norm.cdf(z))
+        return float(ndtr(z))
 
     def max_interval_for_ber(self, ber_target: float,
                              temperature_c: Optional[float] = None) -> float:
@@ -94,7 +94,7 @@ class RetentionModel:
             raise ConfigurationError("ber_target must be in (0, 1)")
         temp = self.reference_temp_c if temperature_c is None else temperature_c
         factor = retention_temperature_factor(temp, self.reference_temp_c)
-        z = norm.ppf(ber_target)
+        z = ndtri(ber_target)
         return float(math.exp(self.mu_ln_s + z * self.sigma_ln_s) * factor)
 
 

@@ -90,9 +90,9 @@ class FaultLedger:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, fault: FaultRecord) -> None:
-        """Append one fault record."""
-        self._records.append(fault)
+    def record(self, fault: FaultRecord, count: int = 1) -> None:
+        """Append ``count`` occurrences of one fault record."""
+        self._records.extend([fault] * count)
 
     @property
     def records(self) -> List[FaultRecord]:

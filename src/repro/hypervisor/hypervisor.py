@@ -402,12 +402,15 @@ class Hypervisor:
     # -- the execution engine --------------------------------------------------------
 
     def _record_fault(self, fault_class: FaultClass, origin: FaultOrigin,
-                      component: str, detail: str = "") -> None:
+                      component: str, detail: str = "",
+                      count: int = 1) -> None:
         self.platform.faults.record(FaultRecord(
             timestamp=self.clock.now, fault_class=fault_class,
             origin=origin, component=component, detail=detail,
-        ))
-        self.metrics.inc(f"hardware.faults.{fault_class.value}")
+        ), count)
+        # Counters start at 0.0, so one increment by ``count`` is exactly
+        # ``count`` increments by one.
+        self.metrics.inc(f"hardware.faults.{fault_class.value}", count)
 
     def _domain_error_rate_per_s(self, domain) -> float:
         """Consumed retention-error rate of a relaxed domain.
@@ -425,30 +428,57 @@ class Hypervisor:
         weak_cells = ber * domain.capacity_bits
         return weak_cells * consumed_fraction / domain.refresh_interval_s
 
+    def _first_critical_hit(self, domain_name: str,
+                            n_errors: int) -> Optional[int]:
+        """Index of the first of ``n_errors`` retention errors that lands on
+        critical state, or ``None`` when none does.
+
+        Consumes exactly the uniforms one draw per error up to the hit
+        would: ``random(n)`` yields the same doubles as ``n`` scalar
+        draws, so on a hit the stream is rewound and ``hit + 1`` redrawn.
+        An unused domain draws nothing.
+        """
+        share = self.placement.critical_share(domain_name)
+        if share is None:
+            return None
+        bit_generator = self._rng.bit_generator
+        saved = bit_generator.state
+        critical = self._rng.random(n_errors) < share
+        if not critical.any():
+            return None
+        hit = int(critical.argmax())
+        bit_generator.state = saved
+        self._rng.random(hit + 1)
+        return hit
+
     def _handle_dram_errors(self, dt_s: float) -> None:
         for domain in self.platform.memory.relaxed_domains():
             rate = self._domain_error_rate_per_s(domain)
             n_errors = int(self._rng.poisson(rate * dt_s))
-            for _ in range(n_errors):
-                if self.placement.error_hits_critical(domain.name, self._rng):
-                    # Retention error in hypervisor/kernel state: host down.
-                    self._crashed = True
-                    self.stats.host_crashes += 1
-                    self._record_fault(FaultClass.CRASH, FaultOrigin.DRAM,
-                                       domain.name, "critical state hit")
-                    self.bus.publish(CrashEvent(
-                        timestamp=self.clock.now, source="hypervisor",
-                        component=domain.name,
-                        operating_point=(
-                            f"refresh {domain.refresh_interval_s:.2f} s"),
-                    ))
-                    return
-                # VM data hit: a silent corruption inside one guest.
-                self.stats.vm_sdc_events += 1
+            if n_errors == 0:
+                continue
+            hit = self._first_critical_hit(domain.name, n_errors)
+            n_sdc = n_errors if hit is None else hit
+            if n_sdc:
+                # VM data hits: silent corruptions inside guests.
+                self.stats.vm_sdc_events += n_sdc
                 self._record_fault(
                     FaultClass.SILENT_DATA_CORRUPTION, FaultOrigin.DRAM,
-                    domain.name, "guest page",
+                    domain.name, "guest page", count=n_sdc,
                 )
+            if hit is not None:
+                # Retention error in hypervisor/kernel state: host down.
+                self._crashed = True
+                self.stats.host_crashes += 1
+                self._record_fault(FaultClass.CRASH, FaultOrigin.DRAM,
+                                   domain.name, "critical state hit")
+                self.bus.publish(CrashEvent(
+                    timestamp=self.clock.now, source="hypervisor",
+                    component=domain.name,
+                    operating_point=(
+                        f"refresh {domain.refresh_interval_s:.2f} s"),
+                ))
+                return
 
     def tick(self) -> None:
         """Advance the machine by one scheduler tick."""

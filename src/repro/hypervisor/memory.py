@@ -375,18 +375,26 @@ class PlacementPolicy:
             if a.tier != self.classifier.classify(a.placement_class)
         )
 
-    def error_hits_critical(self, domain_name: str,
-                            rng: np.random.Generator) -> bool:
-        """Whether a bit error in ``domain_name`` lands on critical state.
+    def critical_share(self, domain_name: str) -> Optional[float]:
+        """Critical fraction of ``domain_name``'s *used* memory.
 
-        The probability is the critical share of the domain's *used*
-        memory — an error in an untouched page is harmless.
+        ``None`` when nothing is allocated there: an error in an untouched
+        page is harmless, and deciding that draws no random number.
         """
         used = self._domain_usage_mb(domain_name)
         if used <= 0:
-            return False
+            return None
         critical = sum(
             a.size_mb for a in self._allocations
             if a.domain == domain_name and a.critical
         )
-        return bool(rng.random() < critical / used)
+        return critical / used
+
+    def error_hits_critical(self, domain_name: str,
+                            rng: np.random.Generator) -> bool:
+        """Whether a bit error in ``domain_name`` lands on critical state:
+        one uniform against :meth:`critical_share`."""
+        share = self.critical_share(domain_name)
+        if share is None:
+            return False
+        return bool(rng.random() < share)

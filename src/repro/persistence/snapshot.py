@@ -141,8 +141,11 @@ class SnapshotStore:
         envelope = {"checksum": payload_checksum(body), "body": body}
         path = self.snapshot_path(step)
         tmp = path.with_suffix(".tmp")
+        # One-shot ``dumps`` runs the C encoder (``dump`` streams through
+        # the pure-Python one) and writes the same bytes.  Not canonical:
+        # the file keeps insertion order, which restore order depends on.
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, default=_coerce)
+            handle.write(json.dumps(envelope, default=_coerce))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

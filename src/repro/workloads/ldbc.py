@@ -6,7 +6,8 @@ of Sparksee)".  This module is the workload substitute: a scaled-down but
 *functional* social-network benchmark —
 
 * a generated social graph (persons with power-law friendships, forums,
-  posts) built on :mod:`networkx`;
+  posts) built on :mod:`networkx` (imported on first use, so importing
+  :mod:`repro` does not load it);
 * an interactive query mix modelled on LDBC SNB Interactive: complex reads
   (friends-of-friends search, shortest friendship paths, popular content
   in a community), short reads (profile/post lookups) and updates (new
@@ -21,14 +22,16 @@ reflected in the resource demand attached to the generated workload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..core.exceptions import ConfigurationError
 from .base import ResourceDemand, StressProfile, Workload
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Stress profile of an LDBC-style graph workload: memory/IO heavy,
 #: moderate droop, irregular access patterns hammering the caches.
@@ -80,6 +83,8 @@ def generate_social_graph(scale_factor: float = 1.0,
     approximated by a powerlaw-cluster graph (heavy-tailed with
     triangles, like real friendships).
     """
+    import networkx as nx
+
     if scale_factor <= 0:
         raise ConfigurationError("scale_factor must be positive")
     rng = np.random.default_rng(seed)
@@ -149,6 +154,8 @@ class InteractiveDriver:
 
     def friendship_path(self, a: int, b: int) -> Optional[List[int]]:
         """IC-13-like: shortest friendship path between two persons."""
+        import networkx as nx
+
         try:
             return nx.shortest_path(self.database.graph, a, b)
         except nx.NetworkXNoPath:

@@ -1,6 +1,5 @@
 """Shared fixtures for the test suite."""
 
-import numpy as np
 import pytest
 
 from repro.core.clock import SimClock
@@ -47,30 +46,3 @@ def spec_benchmarks():
 @pytest.fixture
 def viruses():
     return virus_suite()
-
-
-@pytest.fixture(scope="session")
-def cdf_grid():
-    """400k standard-normal CDF arguments: the bulk, both far tails,
-    ±inf, ±0 and ±1e-300."""
-    rng = np.random.default_rng(20181)
-    specials = [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300]
-    return np.concatenate([
-        rng.normal(0.0, 3.0, 200_000),
-        rng.uniform(-40.0, 40.0, 200_000 - len(specials)),
-        specials,
-    ])
-
-
-@pytest.fixture(scope="session")
-def ppf_grid():
-    """200k standard-normal quantile arguments from 1e-300 up to
-    1 - 1e-16, plus 0, 1/2 and 1."""
-    rng = np.random.default_rng(20182)
-    edges = [0.0, 0.5, 1.0, 1e-300, 1.0 - 1e-16]
-    return np.concatenate([
-        10.0 ** rng.uniform(-300.0, 0.0, 80_000),
-        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 60_000),
-        rng.uniform(0.0, 1.0, 60_000 - len(edges)),
-        edges,
-    ])

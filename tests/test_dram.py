@@ -66,6 +66,33 @@ class TestRetentionModel:
             RetentionModel().max_interval_for_ber(0.0)
 
 
+@pytest.fixture(scope="module")
+def cdf_grid():
+    """400k standard-normal CDF arguments: the bulk, both far tails,
+    ±inf, ±0 and ±1e-300."""
+    rng = np.random.default_rng(20181)
+    specials = [np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300]
+    return np.concatenate([
+        rng.normal(0.0, 3.0, 200_000),
+        rng.uniform(-40.0, 40.0, 200_000 - len(specials)),
+        specials,
+    ])
+
+
+@pytest.fixture(scope="module")
+def ppf_grid():
+    """200k standard-normal quantile arguments from 1e-300 up to
+    1 - 1e-16, plus 0, 1/2 and 1."""
+    rng = np.random.default_rng(20182)
+    edges = [0.0, 0.5, 1.0, 1e-300, 1.0 - 1e-16]
+    return np.concatenate([
+        10.0 ** rng.uniform(-300.0, 0.0, 80_000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 60_000),
+        rng.uniform(0.0, 1.0, 60_000 - len(edges)),
+        edges,
+    ])
+
+
 class TestGaussianTailEquivalence:
     """``scipy.special`` returns exactly the bits ``scipy.stats.norm`` does,
     so the retention model can use it without moving any digest."""

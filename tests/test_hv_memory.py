@@ -109,6 +109,7 @@ class TestPlacement:
         policy.place("vm3", 3000.0)   # back beside the hypervisor
         domain = policy.allocations[0].domain
         assert policy.allocations[-1].domain == domain
+        assert policy.critical_share(domain) == 0.25
         rng = np.random.default_rng(0)
         hits = sum(policy.error_hits_critical(domain, rng)
                    for _ in range(4000))
@@ -120,7 +121,10 @@ class TestPlacement:
     def test_error_in_unused_domain_is_harmless(self, memory):
         policy = PlacementPolicy(memory)
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert policy.critical_share("channel2") is None
         assert policy.error_hits_critical("channel2", rng) is False
+        assert rng.bit_generator.state == state   # nothing drawn
 
     def test_zero_size_rejected(self, memory):
         with pytest.raises(ConfigurationError):

@@ -308,13 +308,6 @@ def scalar_dram_errors(hv, dt_s):
             )
 
 
-def critical_share(hv, domain_name):
-    """Critical fraction of a domain's used memory, from the allocations."""
-    rows = [a for a in hv.placement.allocations if a.domain == domain_name]
-    return (sum(a.size_mb for a in rows if a.critical)
-            / sum(a.size_mb for a in rows))
-
-
 class TestBatchedDramErrors:
     """The batched retention-error loop against the scalar reference."""
 
@@ -353,7 +346,7 @@ class TestBatchedDramErrors:
     def test_share_zero_every_error_is_an_sdc(self):
         hv, crash_ticks = self.run_both(10.0, use_reliable=True, n_vms=3,
                                         ticks=20)
-        assert all(critical_share(hv, d.name) == 0.0
+        assert all(hv.placement.critical_share(d.name) == 0.0
                    for d in hv.platform.memory.relaxed_domains())
         assert hv.stats.vm_sdc_events > 1000
         assert hv.stats.host_crashes == 0 and crash_ticks == []
@@ -361,7 +354,7 @@ class TestBatchedDramErrors:
     def test_fractional_share_sdcs_precede_the_crash(self):
         hv, crash_ticks = self.run_both(5.0, use_reliable=False, n_vms=4,
                                         ticks=30)
-        assert 0.0 < critical_share(hv, "channel0") < 1.0
+        assert 0.0 < hv.placement.critical_share("channel0") < 1.0
         assert hv.stats.host_crashes == len(crash_ticks) > 0
         # In some crashing tick, guest-page SDCs drawn in the critical
         # domain came before the critical hit.
@@ -377,7 +370,7 @@ class TestBatchedDramErrors:
     def test_share_one_first_error_crashes(self):
         hv, crash_ticks = self.run_both(10.0, use_reliable=False, n_vms=3,
                                         ticks=10)
-        assert critical_share(hv, "channel0") == 1.0
+        assert hv.placement.critical_share("channel0") == 1.0
         assert hv.stats.host_crashes == len(crash_ticks) > 1
         for records in crash_ticks:
             assert records[-1].fault_class is FaultClass.CRASH

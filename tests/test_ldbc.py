@@ -1,5 +1,11 @@
 """Tests for the LDBC-SNB-like graph workload."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,3 +135,35 @@ class TestWorkloadWrapper:
         assert large.demand.memory_mb == pytest.approx(
             4 * small.demand.memory_mb)
         assert "ldbc" in small.name
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: Run in a fresh interpreter: import every CLI-facing package, report
+#: which heavy optional modules that loaded, then use the graph workload
+#: (which imports networkx on first use).
+_IMPORT_PROBE = """
+import json, sys
+import repro.cli, repro.cloudmgr, repro.fleet, repro.sweep, repro.persistence
+loaded = sorted(m for m in ("scipy.stats", "networkx") if m in sys.modules)
+from repro.workloads.ldbc import InteractiveDriver, generate_social_graph
+database = generate_social_graph(0.05)
+database.graph.add_node(-1)
+driver = InteractiveDriver(database)
+print(json.dumps({"loaded": loaded, "persons": database.n_persons,
+                  "path": driver.friendship_path(0, 10),
+                  "no_path": driver.friendship_path(0, -1)}))
+"""
+
+
+def test_import_graph_is_lean_and_the_graph_workload_still_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    probe = json.loads(out)
+    assert probe["loaded"] == []
+    assert probe["persons"] == 151   # 150 generated + the isolated one
+    assert probe["path"][0] == 0 and probe["path"][-1] == 10
+    assert probe["no_path"] is None

@@ -7,7 +7,7 @@ horizontal bar charts for figure-shaped results.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Cell = Union[str, int, float]
 

@@ -22,12 +22,11 @@ three rows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.stats import quantize
-from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError
 from ..hardware.chip import ChipModel
 from ..workloads.base import Workload, WorkloadSuite

@@ -18,11 +18,11 @@ Outputs reproduce the Section 6.B findings:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S
 from ..core.exceptions import ConfigurationError
-from ..hardware.dram import DramSystem, MemoryDomain
+from ..hardware.dram import DramSystem
 from ..hardware.ecc import SECDED_BER_CAPABILITY
 from ..hardware.power import DramPowerModel
 from ..workloads.patterns import RANDOM, TestPattern

@@ -14,15 +14,13 @@ module explores the (voltage, frequency) plane per core:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError
 from ..hardware.chip import ChipModel
-from ..workloads.base import Workload, WorkloadSuite
+from ..workloads.base import WorkloadSuite
 from ..workloads.viruses import virus_suite
 
 

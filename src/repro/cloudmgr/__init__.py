@@ -1,12 +1,12 @@
 """OpenStack-like resource management layer (paper Section 4.B).
 
 Rack-level orchestration with UniServer's additions: a node reliability
-metric next to availability/utilization/energy, fine-grained VM
+metric next to availability/utilization/energy, node-local health
 telemetry, reliability-aware filter/weigh scheduling, integrated node
 failure prediction and proactive live migration.
 """
 
-from .cloud import CloudController, CloudStats, ControllerStats
+from .cloud import CloudController, ControllerStats
 from .failure_prediction import (
     DomainRisk,
     HARVEST_FEATURES,
@@ -54,12 +54,7 @@ from .sla import (
     SLARecord,
     SLATracker,
 )
-from .telemetry import (
-    NodeSample,
-    RollingWindow,
-    TelemetryService,
-    VMSample,
-)
+from .telemetry import NodeSample, TelemetryService
 
 from .simulation import (
     RackExperiment,
@@ -72,7 +67,7 @@ from .simulation import (
 __all__ = [
     "RackExperiment", "SimulationStats", "TIER_MAP",
     "TraceDrivenSimulation", "run_rack_experiment",
-    "CloudController", "CloudStats", "ControllerStats",
+    "CloudController", "ControllerStats",
     "DomainRisk", "HARVEST_FEATURES", "HORIZONS", "HorizonRisk",
     "HorizonRiskReport", "MultiHorizonPredictor", "NODE_FEATURES",
     "ThresholdFailurePredictor", "node_features", "predictor_from_state",
@@ -89,5 +84,5 @@ __all__ = [
     "sla_performance_filter", "sla_reliability_filter",
     "BRONZE", "DEFAULT_TIERS", "GOLD", "SILVER", "SLA", "SLARecord",
     "SLATracker",
-    "NodeSample", "RollingWindow", "TelemetryService", "VMSample",
+    "NodeSample", "TelemetryService",
 ]

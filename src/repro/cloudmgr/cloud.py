@@ -1,8 +1,9 @@
 """Cloud controller: rack-level orchestration (the OpenStack stand-in).
 
 Ties the layer together: a rack of :class:`~repro.cloudmgr.node.ComputeNode`
-instances, the filter/weigh scheduler, telemetry, SLA tracking, node
-failure prediction and the migration manager.  The control loop each step:
+instances, the filter/weigh scheduler, heartbeat health beliefs, SLA
+tracking, node failure prediction and the migration manager.  The
+control loop each step:
 
 1. reconcile injected control-plane faults (when a chaos engine is
    attached) and advance every node;
@@ -51,7 +52,6 @@ from .migration import MigrationManager
 from .node import ComputeNode
 from .scheduler import FilterScheduler, Placement
 from .sla import SLA, SLATracker
-from .telemetry import TelemetryService
 
 
 @dataclass
@@ -79,10 +79,6 @@ class ControllerStats:
     #: Closed VM service-restoration episodes (seconds each): from the
     #: first step a VM's service is down to the step it serves again.
     repair_times_s: List[float] = field(default_factory=list)
-
-
-#: Backwards-compatible alias (pre-resilience name).
-CloudStats = ControllerStats
 
 
 def _at_risk(view: NodeView) -> bool:
@@ -149,7 +145,6 @@ class CloudController:
         #: Controller-side jitter stream (retry backoff decorrelation).
         self._rng = np.random.default_rng(control_seed)
         self._seen_restarts: Dict[str, int] = {}
-        self.telemetry = TelemetryService()
         self.tracker = SLATracker()
         self.migrations = MigrationManager(
             scheduler=self.scheduler, tracker=self.tracker,
@@ -194,7 +189,6 @@ class CloudController:
                          for name, breaker in self._breakers.items()},
             "rng": self._rng.bit_generator.state,
             "seen_restarts": dict(self._seen_restarts),
-            "telemetry": self.telemetry.state_dict(),
             "tracker": self.tracker.state_dict(),
             "migrations": self.migrations.state_dict(),
             "stats": asdict(self.stats),
@@ -227,7 +221,6 @@ class CloudController:
         self._rng.bit_generator.state = state["rng"]
         self._seen_restarts = {str(k): int(v) for k, v
                                in state["seen_restarts"].items()}  # type: ignore[union-attr]
-        self.telemetry.load_state_dict(state["telemetry"])  # type: ignore[arg-type]
         self.tracker.load_state_dict(state["tracker"])  # type: ignore[arg-type]
         self.migrations.load_state_dict(state["migrations"])  # type: ignore[arg-type]
         stats = dict(state["stats"])  # type: ignore[call-overload]
@@ -310,7 +303,7 @@ class CloudController:
     # -- the control loop -----------------------------------------------------------
 
     def _ingest_heartbeats(self) -> None:
-        """One heartbeat round: update beliefs, feed controller telemetry."""
+        """One heartbeat round: update the controller's beliefs."""
         now = self.clock.now
         for node in self.node_list():
             beat = node.heartbeat()
@@ -322,9 +315,6 @@ class CloudController:
                 continue
             self.stats.heartbeats_received += 1
             self.health.observe(beat)
-            self.telemetry.record_node(beat.sample)
-            for vm_sample in beat.vm_samples:
-                self.telemetry.record_vm(vm_sample)
 
     def _note_breaker_failure(self, node: ComputeNode,
                               breaker: CircuitBreaker) -> None:

@@ -12,13 +12,13 @@ dirty rate; the VM loses a slice of progress while paused.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError, MigrationError
-from ..hypervisor.vm import VirtualMachine, VMState
+from ..hypervisor.vm import VMState
 from .node import ComputeNode
-from .scheduler import FilterScheduler, Placement
+from .scheduler import FilterScheduler
 from .sla import SLA, SLATracker
 
 

@@ -36,7 +36,7 @@ from ..hypervisor.isolation import IsolationManager
 from ..hypervisor.qos import QoSGuard
 from ..hypervisor.vm import VirtualMachine
 from ..resilience.health import Heartbeat
-from .telemetry import NodeSample, TelemetryService, VMSample
+from .telemetry import NodeSample, TelemetryService
 
 
 def _predictor_state(predictor):
@@ -357,20 +357,9 @@ class ComputeNode:
             temperature_c=self.platform.chip.thermal.temperature_c,
         )
         self.local_telemetry.record_node(sample)
-        dt = max(self.hypervisor.config.tick_s, 1e-9)
-        vm_samples = tuple(
-            VMSample(
-                timestamp=self.clock.now, vm_name=vm.name, node=self.name,
-                cpu_utilization=vm.workload.profile.activity_factor,
-                memory_mb=vm.memory_usage_mb(),
-                progress_rate=vm.progress / max(self.clock.now, dt),
-            )
-            for vm in self.hypervisor.active_vms()
-        )
         self.runtime.metrics.inc("resilience.heartbeats.emitted")
         return Heartbeat(
             timestamp=self.clock.now, node=self.name, metrics=metrics,
-            sample=sample, vm_samples=vm_samples,
             active_vms=tuple(
                 vm.name for vm in self.hypervisor.active_vms()),
             failure_budget=self.hypervisor.config.failure_budget,

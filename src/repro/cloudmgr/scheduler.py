@@ -15,8 +15,8 @@ tier; a :class:`RoundRobinScheduler` baseline exists for the ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..hypervisor.vm import VirtualMachine

@@ -13,8 +13,8 @@ consume: per-VM uptime, downtime, violations and achieved availability.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, List
 
 from ..core.exceptions import ConfigurationError
 

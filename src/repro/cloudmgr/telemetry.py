@@ -1,36 +1,20 @@
-"""Fine-grained VM and node monitoring.
+"""Node-local health telemetry for the failure-risk predictor.
 
-Paper Section 4.B: "Our extended version of OpenStack includes support
-for monitoring VMs and determining their dynamically changing
-characteristics and virtual resource utilization at a finer granularity
-than the existing state-of-the-art."
-
-The telemetry service keeps rolling windows of per-VM and per-node
-samples; its anomaly detector (EWMA ± k·sigma bands, in the spirit of the
-unsupervised detectors the paper cites [20][21]) flags the behavioural
-shifts the failure predictor consumes.
+Paper Section 4.B: the resource manager monitors nodes "at a finer
+granularity than the existing state-of-the-art" so it can predict
+failures and act on them.  Here each node keeps a bounded ring of its own
+recent health samples; its risk predictor reads that ring (the recent
+correctable-error rate is a feature) and ships only the resulting
+verdict in its heartbeat.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List
 
 from ..core.exceptions import ConfigurationError
-
-
-@dataclass(frozen=True)
-class VMSample:
-    """Per-VM utilization sample."""
-
-    timestamp: float
-    vm_name: str
-    node: str
-    cpu_utilization: float
-    memory_mb: float
-    progress_rate: float     # fraction of workload completed per second
 
 
 @dataclass(frozen=True)
@@ -46,221 +30,60 @@ class NodeSample:
     temperature_c: float = 50.0
 
 
-class RollingWindow:
-    """Bounded sample window with EWMA-based anomaly detection."""
-
-    def __init__(self, maxlen: int = 120, alpha: float = 0.2) -> None:
-        if maxlen < 2:
-            raise ConfigurationError("window needs maxlen >= 2")
-        if not 0 < alpha <= 1:
-            raise ConfigurationError("alpha must be in (0, 1]")
-        self._values: Deque[float] = deque(maxlen=maxlen)
-        self._alpha = alpha
-        self._ewma: Optional[float] = None
-        self._ewmvar = 0.0
-
-    def push(self, value: float) -> None:
-        """Append a sample and update the EWMA state."""
-        self._values.append(value)
-        if self._ewma is None:
-            self._ewma = value
-            self._ewmvar = 0.0
-        else:
-            delta = value - self._ewma
-            self._ewma += self._alpha * delta
-            self._ewmvar = (1 - self._alpha) * (
-                self._ewmvar + self._alpha * delta * delta
-            )
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def mean(self) -> float:
-        """Current EWMA mean."""
-        return self._ewma if self._ewma is not None else 0.0
-
-    @property
-    def std(self) -> float:
-        """Current EWMA standard deviation."""
-        return math.sqrt(max(0.0, self._ewmvar))
-
-    def latest(self) -> Optional[float]:
-        """Most recent sample, or None when empty."""
-        return self._values[-1] if self._values else None
-
-    def is_anomalous(self, value: float, k_sigma: float = 3.0,
-                     min_samples: int = 10,
-                     rel_floor: float = 1e-6) -> bool:
-        """Whether ``value`` sits outside the EWMA ± k·sigma band.
-
-        The band never collapses below ``rel_floor`` of the EWMA
-        magnitude: a perfectly constant series has zero variance, and
-        without the relative floor any ulp-level jitter on it would be
-        flagged as anomalous.
-        """
-        if len(self._values) < min_samples or self._ewma is None:
-            return False
-        band = max(self.std * k_sigma,
-                   rel_floor * abs(self._ewma), 1e-9)
-        return abs(value - self._ewma) > band
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable window state."""
-        return {
-            "values": list(self._values),
-            "ewma": self._ewma,
-            "ewmvar": self._ewmvar,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the window saved by :meth:`state_dict`."""
-        self._values.clear()
-        self._values.extend(float(v) for v in state["values"])  # type: ignore[union-attr]
-        ewma = state["ewma"]
-        self._ewma = None if ewma is None else float(ewma)  # type: ignore[arg-type]
-        self._ewmvar = float(state["ewmvar"])  # type: ignore[arg-type]
-
-
 class TelemetryService:
-    """Collects and indexes VM/node samples for the control plane.
+    """Bounded per-node health-sample history.
 
-    Per-series sample history is *bounded*: each VM/node keeps at most
-    ``retention`` samples (defaulting to the rolling-window length), so
+    Each node series keeps at most ``retention`` samples, newest last, so
     neither resident memory nor :meth:`state_dict` size grows with
-    campaign duration.  The anomaly log is likewise capped at a multiple
-    of the retention so a pathological series cannot grow it without
-    bound either.
+    campaign duration.
     """
 
-    def __init__(self, window: int = 120,
-                 retention: Optional[int] = None) -> None:
-        if retention is not None and retention < 1:
+    def __init__(self, retention: int = 120) -> None:
+        if retention < 1:
             raise ConfigurationError("retention must be >= 1")
-        self._window = window
-        self._retention = retention if retention is not None else window
-        self._anomaly_cap = max(1024, 8 * self._retention)
-        self._vm_samples: Dict[str, Deque[VMSample]] = {}
+        self._retention = retention
         self._node_samples: Dict[str, Deque[NodeSample]] = {}
-        self._vm_windows: Dict[Tuple[str, str], RollingWindow] = {}
-        self._node_windows: Dict[Tuple[str, str], RollingWindow] = {}
-        self.anomalies: Deque[str] = deque(maxlen=self._anomaly_cap)
 
     @property
     def retention(self) -> int:
-        """Maximum samples retained per VM/node series."""
+        """Maximum samples retained per node series."""
         return self._retention
 
-    # -- ingestion -----------------------------------------------------------
-
-    def _window_for(self, table: Dict, key: Tuple[str, str]) -> RollingWindow:
-        if key not in table:
-            table[key] = RollingWindow(maxlen=self._window)
-        return table[key]
-
-    def _series_for(self, table: Dict, key: str) -> Deque:
-        if key not in table:
-            table[key] = deque(maxlen=self._retention)
-        return table[key]
-
-    def record_vm(self, sample: VMSample) -> None:
-        """Ingest one per-VM sample (and check for anomalies)."""
-        self._series_for(self._vm_samples, sample.vm_name).append(sample)
-        for metric, value in (
-            ("cpu", sample.cpu_utilization),
-            ("mem", sample.memory_mb),
-            ("rate", sample.progress_rate),
-        ):
-            window = self._window_for(
-                self._vm_windows, (sample.vm_name, metric))
-            if window.is_anomalous(value):
-                self.anomalies.append(
-                    f"t={sample.timestamp:.1f} vm={sample.vm_name} "
-                    f"metric={metric} value={value:.4g}"
-                )
-            window.push(value)
-
     def record_node(self, sample: NodeSample) -> None:
-        """Ingest one per-node sample (and check for anomalies)."""
-        self._series_for(self._node_samples, sample.node).append(sample)
-        for metric, value in (
-            ("util", sample.utilization),
-            ("power", sample.power_w),
-            ("reliability", sample.reliability),
-            ("ce", float(sample.correctable_errors)),
-        ):
-            window = self._window_for(self._node_windows,
-                                      (sample.node, metric))
-            if window.is_anomalous(value):
-                self.anomalies.append(
-                    f"t={sample.timestamp:.1f} node={sample.node} "
-                    f"metric={metric} value={value:.4g}"
-                )
-            window.push(value)
+        """Ingest one per-node sample."""
+        series = self._node_samples.get(sample.node)
+        if series is None:
+            series = self._node_samples[sample.node] = deque(
+                maxlen=self._retention)
+        series.append(sample)
 
     # -- persistence ---------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Serializable service state.
-
-        Window tables are keyed by ``(name, metric)`` tuples, which JSON
-        objects cannot hold — they are flattened to ``[key..., state]``
-        rows, preserving insertion order.
-        """
+        """Serializable service state."""
         return {
-            "vm_samples": {name: [asdict(s) for s in samples]
-                           for name, samples in self._vm_samples.items()},
             "node_samples": {name: [asdict(s) for s in samples]
                              for name, samples in self._node_samples.items()},
-            "vm_windows": [[name, metric, window.state_dict()]
-                           for (name, metric), window
-                           in self._vm_windows.items()],
-            "node_windows": [[name, metric, window.state_dict()]
-                             for (name, metric), window
-                             in self._node_windows.items()],
-            "anomalies": list(self.anomalies),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore the service saved by :meth:`state_dict`.
 
-        Series longer than the current retention cap (e.g. a snapshot
-        written by an uncapped service) keep their newest samples.
+        Only ``node_samples`` is read, so states that also carry the
+        per-VM series, EWMA windows and anomaly log of older versions
+        still load.  Series longer than the retention cap keep their
+        newest samples.
         """
-        self._vm_samples = {
-            str(name): deque((VMSample(**s) for s in samples),
-                             maxlen=self._retention)
-            for name, samples in state["vm_samples"].items()}  # type: ignore[union-attr]
         self._node_samples = {
             str(name): deque((NodeSample(**s) for s in samples),
                              maxlen=self._retention)
             for name, samples in state["node_samples"].items()}  # type: ignore[union-attr]
-        self._vm_windows = {}
-        for name, metric, window_state in state["vm_windows"]:  # type: ignore[misc]
-            window = RollingWindow(maxlen=self._window)
-            window.load_state_dict(window_state)
-            self._vm_windows[(str(name), str(metric))] = window
-        self._node_windows = {}
-        for name, metric, window_state in state["node_windows"]:  # type: ignore[misc]
-            window = RollingWindow(maxlen=self._window)
-            window.load_state_dict(window_state)
-            self._node_windows[(str(name), str(metric))] = window
-        self.anomalies = deque((str(a) for a in state["anomalies"]),  # type: ignore[union-attr]
-                               maxlen=self._anomaly_cap)
 
     # -- queries ------------------------------------------------------------
 
-    def vm_history(self, vm_name: str) -> List[VMSample]:
-        """All samples recorded for a VM."""
-        return list(self._vm_samples.get(vm_name, []))
-
     def node_history(self, node: str) -> List[NodeSample]:
-        """All samples recorded for a node."""
+        """All retained samples of a node, oldest first."""
         return list(self._node_samples.get(node, []))
-
-    def node_trend(self, node: str, metric: str) -> Optional[RollingWindow]:
-        """The rolling window of one node metric, if any."""
-        return self._node_windows.get((node, metric))
 
     def recent_error_rate(self, node: str, samples: int = 10) -> float:
         """Mean correctable-error count over the last ``samples`` samples."""

@@ -35,8 +35,6 @@ from ..hypervisor.qos import QoSGuard
 from ..hypervisor.vm import VirtualMachine
 from ..workloads.base import WorkloadSuite
 from .clock import SimClock
-from .eop import OperatingPoint
-from .events import EventBus
 from .exceptions import ConfigurationError
 from .runtime import NodeRuntime
 

@@ -18,14 +18,14 @@ the information-vector flow of Figure 2 has a single audited surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ..daemons.healthlog import HealthLog
 from ..daemons.infovector import InfoVector
 from ..hardware.platform import ServerPlatform
-from .exceptions import ConfigurationError, UniServerError
+from .exceptions import UniServerError
 
 
 class Scope(Enum):

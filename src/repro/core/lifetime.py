@@ -18,15 +18,14 @@ at a small energy cost (margins retreat as the part ages).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from ..daemons.stresslog import StressLog, StressTargets
 from ..hardware.aging import YEAR_S
 from ..hardware.platform import ServerPlatform, build_uniserver_node
-from ..workloads.base import Workload, WorkloadSuite
-from ..workloads.spec import spec_suite
+from ..workloads.base import WorkloadSuite
 from .clock import SimClock
 from .exceptions import ConfigurationError
 

@@ -27,7 +27,6 @@ from ..core.events import (
     AnomalyEvent,
     CorrectableErrorEvent,
     CrashEvent,
-    Event,
     EventBus,
     SensorEvent,
     UncorrectableErrorEvent,

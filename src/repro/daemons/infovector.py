@@ -13,8 +13,8 @@ per component).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Tuple
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError

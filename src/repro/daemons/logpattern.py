@@ -25,7 +25,7 @@ import math
 import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError
 

@@ -22,20 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from ..core.clock import SimClock
 from ..core.eop import (
     NOMINAL_REFRESH_INTERVAL_S,
     CharacterizedPoint,
     EOPTable,
-    OperatingPoint,
 )
 from ..core.events import AnomalyEvent, EventBus, MarginUpdateEvent
 from ..core.exceptions import ConfigurationError, StressTestError
 from ..core.runtime import MetricsRegistry, NodeRuntime
 from ..hardware.platform import ServerPlatform
-from ..workloads.base import Workload, WorkloadSuite
+from ..workloads.base import WorkloadSuite
 from ..workloads.patterns import RANDOM
 from ..workloads.viruses import virus_suite
 from .infovector import ComponentMargin, MarginVector

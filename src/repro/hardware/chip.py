@@ -16,7 +16,7 @@ sensitivities ≈0.45–0.9, leaving headroom above for stress viruses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError

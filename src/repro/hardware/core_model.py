@@ -33,7 +33,7 @@ from scipy.special import ndtr
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError, MachineCrash
-from ..workloads.base import StressProfile, Workload
+from ..workloads.base import StressProfile
 from .aging import AgingModel
 
 

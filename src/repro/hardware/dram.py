@@ -36,7 +36,6 @@ from .ecc import (
     EccSelector,
     scheme_by_name,
 )
-from .faults import FaultClass, FaultOrigin, FaultRecord
 from .power import DramPowerModel
 from .thermal import retention_temperature_factor
 

@@ -9,7 +9,7 @@ exchanges, plus counters used to build HealthLog information vectors.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 

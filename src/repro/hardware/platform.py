@@ -9,7 +9,7 @@ configuration of every component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
 from ..core.exceptions import ConfigurationError

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
 from ..core.exceptions import ConfigurationError

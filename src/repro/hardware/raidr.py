@@ -19,7 +19,7 @@ retention model:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S

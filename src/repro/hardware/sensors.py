@@ -8,8 +8,7 @@ power, plus per-run performance-counter snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,8 +11,8 @@ scheduler level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError, SchedulingError

@@ -16,8 +16,8 @@ the EOP energy gains; see the resilience ablation A3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..core.exceptions import CheckpointError, ConfigurationError
 from .objects import ObjectCatalog, SENSITIVE_CATEGORIES

@@ -26,7 +26,7 @@ import numpy as np
 from ..core.exceptions import ConfigurationError
 from .checkpoint import CheckpointManager
 from .memory import PlacementPolicy
-from .objects import CATEGORY_PROFILES, ObjectCatalog
+from .objects import ObjectCatalog
 
 #: 64-bit data words per megabyte, for exposure arithmetic.
 WORDS_PER_MB = 1024 * 1024 // 8

@@ -27,13 +27,12 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..core.clock import SimClock, step_count
-from ..core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
+from ..core.eop import OperatingPoint
 from ..core.events import (
     ConfigChangeEvent,
     CorrectableErrorEvent,
     CrashEvent,
     EventBus,
-    UncorrectableErrorEvent,
 )
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.runtime import MetricsRegistry, NodeRuntime

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError
 from ..core.runtime import MetricsRegistry, NodeRuntime
 from ..daemons.infovector import ComponentMargin, MarginVector

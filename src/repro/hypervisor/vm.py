@@ -9,7 +9,7 @@ LDBC VMs reproduce Figure 3's dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 

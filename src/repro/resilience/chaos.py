@@ -36,8 +36,8 @@ class FaultKind(Enum):
     HEALTHLOG_STALL = "healthlog_stall"
     #: The node-local failure Predictor dies: no risk verdicts.
     PREDICTOR_CRASH = "predictor_crash"
-    #: Heartbeat payloads (risk verdicts, VM samples) are lost with some
-    #: probability; the bare liveness signal still arrives.
+    #: A heartbeat's risk verdict is lost with some probability; the
+    #: liveness signal and the scheduling metrics still arrive.
     TELEMETRY_DROPOUT = "telemetry_dropout"
     #: Heartbeats arrive but their metrics are noise-corrupted.
     TELEMETRY_CORRUPTION = "telemetry_corruption"
@@ -339,11 +339,10 @@ class ChaosEngine:
         if dropout is not None:
             rng = node.runtime.rng("chaos.telemetry")
             if rng.random() < dropout.magnitude:
-                # The liveness signal survives; the payload does not.
+                # The liveness signal survives; the risk report does not.
                 # (A full partition is FaultKind.HEARTBEAT_LOSS.)
                 self._count(FaultKind.TELEMETRY_DROPOUT)
-                heartbeat = replace(heartbeat, vm_samples=(),
-                                    horizon_report=None)
+                heartbeat = replace(heartbeat, horizon_report=None)
         corrupt = self._active(
             FaultKind.TELEMETRY_CORRUPTION, node.name, now)
         if corrupt is not None:

@@ -6,8 +6,8 @@ control planes only ever see *last-received telemetry*: a node that
 stops heartbeating might be dead, partitioned, or merely slow, and the
 controller must decide anyway.  This module is that epistemic layer:
 
-* :class:`Heartbeat` — the node's self-report: scheduling metrics,
-  telemetry samples and the node-local multi-horizon risk report;
+* :class:`Heartbeat` — the node's self-report: scheduling metrics and
+  the node-local multi-horizon risk report;
 * :class:`NodeView` — the controller's belief about one node, built
   exclusively from received heartbeats.  It duck-types the scheduling
   surface of ``ComputeNode`` (``can_host``/``metrics``/``hypervisor``…)
@@ -34,7 +34,6 @@ from ..core.exceptions import ConfigurationError
 if TYPE_CHECKING:  # import-free at runtime: cloudmgr imports us
     from ..cloudmgr.failure_prediction import HorizonRiskReport
     from ..cloudmgr.node import NodeMetrics
-    from ..cloudmgr.telemetry import NodeSample, VMSample
     from ..hypervisor.vm import VirtualMachine
 
 
@@ -49,8 +48,6 @@ class Heartbeat:
     timestamp: float
     node: str
     metrics: "NodeMetrics"
-    sample: "NodeSample"
-    vm_samples: Tuple["VMSample", ...]
     #: Names of VMs active on the node (for evacuation planning).
     active_vms: Tuple[str, ...]
     #: The node's failure budget, for the SLA reliability filter.
@@ -67,7 +64,6 @@ class Heartbeat:
 def heartbeat_to_dict(heartbeat: Heartbeat) -> Dict[str, object]:
     """Plain-dict form of a heartbeat (all leaves are primitives)."""
     state = asdict(heartbeat)
-    state["vm_samples"] = [asdict(s) for s in heartbeat.vm_samples]
     state["horizon_report"] = (None if heartbeat.horizon_report is None
                                else heartbeat.horizon_report.as_dict())
     return state
@@ -77,22 +73,19 @@ def heartbeat_from_dict(state: Dict[str, object]) -> Heartbeat:
     """Rebuild a heartbeat saved by :func:`heartbeat_to_dict`.
 
     Unknown keys are ignored, so heartbeats saved by older versions
-    (which also carried a scalar ``risk`` verdict) still load.  Imports
-    are local: this module is imported by ``cloudmgr`` at class
-    definition time, so the concrete sample types only resolve lazily.
+    (which also carried a scalar ``risk`` verdict and the node's health
+    and per-VM samples) still load.  Imports are local: this module is
+    imported by ``cloudmgr`` at class definition time, so the concrete
+    payload types only resolve lazily.
     """
     from ..cloudmgr.failure_prediction import HorizonRiskReport
     from ..cloudmgr.node import NodeMetrics
-    from ..cloudmgr.telemetry import NodeSample, VMSample
 
     report = state.get("horizon_report")
     return Heartbeat(
         timestamp=float(state["timestamp"]),  # type: ignore[arg-type]
         node=str(state["node"]),
         metrics=NodeMetrics(**state["metrics"]),  # type: ignore[arg-type]
-        sample=NodeSample(**state["sample"]),  # type: ignore[arg-type]
-        vm_samples=tuple(VMSample(**s)
-                         for s in state["vm_samples"]),  # type: ignore[union-attr]
         active_vms=tuple(str(v) for v in state["active_vms"]),  # type: ignore[union-attr]
         failure_budget=float(state["failure_budget"]),  # type: ignore[arg-type]
         eop_adopted=int(state.get("eop_adopted", 0)),  # type: ignore[arg-type]

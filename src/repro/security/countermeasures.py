@@ -17,8 +17,6 @@ from ..core.exceptions import ConfigurationError
 from ..workloads.base import StressProfile
 from .threats import (
     NodeExposure,
-    RiskEntry,
-    Threat,
     ThreatAnalyzer,
     looks_like_stress_attack,
 )

@@ -22,12 +22,11 @@ an aggressively undervolted multi-tenant node carries the most.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
-from ..core.eop import NOMINAL_REFRESH_INTERVAL_S
 from ..core.exceptions import ConfigurationError
-from ..workloads.base import StressProfile, Workload
+from ..workloads.base import StressProfile
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.eop import OperatingPoint
 from ..core.exceptions import ConfigurationError
-from ..hardware.power import CorePowerModel
 
 
 @dataclass(frozen=True)

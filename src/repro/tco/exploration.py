@@ -12,13 +12,12 @@ cost/reliability Pareto set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from ..core.exceptions import ConfigurationError
 from .model import (
     DatacenterSpec,
-    EDGE_SITE,
     ServerSpec,
     TCOModel,
     apply_energy_efficiency,

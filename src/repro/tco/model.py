@@ -18,8 +18,8 @@ paper's Table 3 quotes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import List, Optional
 
 from ..core.exceptions import ConfigurationError
 

@@ -20,8 +20,8 @@ effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core.exceptions import ConfigurationError
 from .model import (

@@ -18,8 +18,8 @@ Concrete suites live in :mod:`repro.workloads.spec` (SPEC CPU2006-like),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List
 
 from ..core.exceptions import ConfigurationError
 

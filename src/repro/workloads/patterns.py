@@ -20,7 +20,6 @@ Coverage values:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 

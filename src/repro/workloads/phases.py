@@ -11,8 +11,8 @@ Predictor and HealthLog exist to track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError
 from .base import ResourceDemand, StressProfile, Workload

@@ -5,7 +5,6 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.hardware.cache_banks import (
     BankedCache,
-    CacheBank,
     ResizePolicy,
 )
 

@@ -1,5 +1,7 @@
 """Tests for the chaos engine and the heartbeat health view."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloudmgr import ComputeNode
@@ -127,11 +129,10 @@ class TestChaosEngine:
                       magnitude=1.0),
         ]))
         beat = node.heartbeat()
+        assert beat.horizon_report is not None
         filtered = engine.filter_heartbeat(node, beat, now=50.0)
         assert filtered is not None  # liveness survives
-        assert filtered.horizon_report is None
-        assert filtered.vm_samples == ()
-        assert filtered.node == beat.node
+        assert filtered == replace(beat, horizon_report=None)
 
     def test_corruption_perturbs_metrics_within_bounds(self):
         node = make_node()

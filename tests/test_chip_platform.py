@@ -4,11 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
+from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.exceptions import ConfigurationError
 from repro.hardware import (
     ChipModel,
-    PlatformConfig,
     arm_server_soc_spec,
     build_uniserver_node,
     intel_i5_4200u_spec,

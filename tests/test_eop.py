@@ -1,7 +1,5 @@
 """Tests for operating points, guard bands and EOP tables."""
 
-import math
-
 import pytest
 
 from repro.core.eop import (

@@ -5,7 +5,7 @@ import pytest
 from repro.core import UniServerNode
 from repro.core.events import CorrectableErrorEvent, EOPTransitionEvent
 from repro.daemons.healthlog import HealthLogConfig
-from repro.eop import EOPGovernor, EOPPolicy, EOPState
+from repro.eop import EOPPolicy, EOPState
 from repro.eop.campaign import EOPCampaignConfig, ErrorInjection
 from repro.core.exceptions import ConfigurationError
 

@@ -7,7 +7,6 @@ directory and its ``main()`` run with output captured.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 

@@ -39,9 +39,11 @@ def _report(at_risk_15m=False, probability=0.7, confidence=0.8):
     )
 
 
-#: ``heartbeat_to_dict`` of a fresh node's first heartbeat, as the
-#: previous format wrote it: with the scalar ``risk`` verdict and four
-#: fields heartbeats no longer carry.
+#: ``heartbeat_to_dict`` of a fresh node's first heartbeat, as older
+#: formats wrote it: with the scalar ``risk`` verdict plus six other
+#: fields heartbeats no longer carry (the node's health sample, its
+#: per-VM samples, the info-vector age, margin applications and the
+#: governor's demoted and quarantined counts).
 _OLDER_FORMAT_HEARTBEAT = {
     "timestamp": 0.0, "node": "n0",
     "metrics": {"node": "n0", "availability": 1.0, "utilization": 0.0,

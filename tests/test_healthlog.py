@@ -9,11 +9,9 @@ from repro.core.events import (
     CrashEvent,
     EventBus,
     SensorEvent,
-    UncorrectableErrorEvent,
 )
 from repro.core.exceptions import ConfigurationError
 from repro.daemons.healthlog import HealthLog, HealthLogConfig
-from repro.daemons.infovector import InfoVector
 from repro.hardware import build_uniserver_node
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.core.clock import SimClock
-from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
+from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.events import CrashEvent
 from repro.core.exceptions import ConfigurationError
 from repro.daemons.infovector import ComponentMargin, MarginVector

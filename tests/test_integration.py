@@ -7,7 +7,6 @@ the kind of interaction unit tests cannot see.
 import pytest
 
 from repro.core import UniServerNode
-from repro.core.clock import SimClock
 from repro.core.events import CorrectableErrorEvent
 from repro.core.interfaces import MonitoringInterface, Scope
 from repro.daemons.logpattern import LogPatternPredictor

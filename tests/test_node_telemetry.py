@@ -3,12 +3,7 @@
 import pytest
 
 from repro.cloudmgr.node import ComputeNode
-from repro.cloudmgr.telemetry import (
-    NodeSample,
-    RollingWindow,
-    TelemetryService,
-    VMSample,
-)
+from repro.cloudmgr.telemetry import NodeSample, TelemetryService
 from repro.core.clock import SimClock
 from repro.core.exceptions import ConfigurationError
 from repro.hardware.faults import (
@@ -78,66 +73,13 @@ class TestComputeNode:
         assert node.frequency_fraction() == pytest.approx(0.5)
 
 
-class TestRollingWindow:
-    def test_tracks_mean(self):
-        window = RollingWindow(alpha=1.0)
-        window.push(5.0)
-        assert window.mean == 5.0
-
-    def test_anomaly_detection_fires_on_outlier(self):
-        window = RollingWindow(alpha=0.2)
-        for _ in range(30):
-            window.push(10.0)
-        assert window.is_anomalous(10.0) is False
-        assert window.is_anomalous(1000.0) is True
-
-    def test_needs_minimum_samples(self):
-        window = RollingWindow()
-        window.push(1.0)
-        assert window.is_anomalous(1e9) is False
-
-    def test_bounded_length(self):
-        window = RollingWindow(maxlen=5)
-        for i in range(20):
-            window.push(float(i))
-        assert len(window) == 5
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RollingWindow(maxlen=1)
-        with pytest.raises(ConfigurationError):
-            RollingWindow(alpha=0.0)
-
-    def test_zero_variance_band_has_relative_floor(self):
-        window = RollingWindow(alpha=0.2)
-        for _ in range(30):
-            window.push(1e6)
-        # A constant series has zero variance; without the relative
-        # floor the band collapses to 1e-9 and ulp-level jitter on a
-        # large-magnitude series reads as anomalous.
-        assert window.is_anomalous(1e6 * (1 + 1e-9)) is False
-        assert window.is_anomalous(1e6 * 1.01) is True
-
-    def test_relative_floor_scales_with_magnitude(self):
-        window = RollingWindow(alpha=0.2)
-        for _ in range(30):
-            window.push(100.0)
-        assert window.is_anomalous(100.0 + 5e-5) is False
-        assert window.is_anomalous(100.0 + 5e-5, rel_floor=1e-9) is True
-
-
 class TestTelemetryService:
     def test_records_and_queries(self):
         svc = TelemetryService()
         svc.record_node(NodeSample(
             timestamp=0.0, node="n0", utilization=0.5, power_w=40.0,
             reliability=1.0, correctable_errors=0))
-        svc.record_vm(VMSample(
-            timestamp=0.0, vm_name="vm0", node="n0",
-            cpu_utilization=0.6, memory_mb=1000.0, progress_rate=0.01))
         assert len(svc.node_history("n0")) == 1
-        assert len(svc.vm_history("vm0")) == 1
-        assert svc.node_trend("n0", "power") is not None
 
     def test_recent_error_rate(self):
         svc = TelemetryService()
@@ -146,17 +88,6 @@ class TestTelemetryService:
                 timestamp=float(i), node="n0", utilization=0.5,
                 power_w=40.0, reliability=1.0, correctable_errors=ce))
         assert svc.recent_error_rate("n0") == pytest.approx(2.0)
-
-    def test_anomaly_log_captures_spikes(self):
-        svc = TelemetryService()
-        for i in range(30):
-            svc.record_node(NodeSample(
-                timestamp=float(i), node="n0", utilization=0.5,
-                power_w=40.0, reliability=1.0, correctable_errors=0))
-        svc.record_node(NodeSample(
-            timestamp=31.0, node="n0", utilization=0.5, power_w=4000.0,
-            reliability=1.0, correctable_errors=0))
-        assert any("power" in a for a in svc.anomalies)
 
     def test_empty_history(self):
         svc = TelemetryService()
@@ -170,15 +101,9 @@ def _node_sample(i, node="n0", ce=0):
                       correctable_errors=ce)
 
 
-def _vm_sample(i, vm="vm0"):
-    return VMSample(timestamp=float(i), vm_name=vm, node="n0",
-                    cpu_utilization=0.6, memory_mb=1000.0,
-                    progress_rate=0.01)
-
-
 class TestTelemetryRetention:
     def test_node_series_bounded_at_retention(self):
-        svc = TelemetryService(window=20)
+        svc = TelemetryService(retention=20)
         assert svc.retention == 20
         for i in range(100):
             svc.record_node(_node_sample(i))
@@ -188,32 +113,21 @@ class TestTelemetryRetention:
         assert history[0].timestamp == 80.0
         assert history[-1].timestamp == 99.0
 
-    def test_vm_series_bounded_at_retention(self):
-        svc = TelemetryService(window=20, retention=5)
-        assert svc.retention == 5
-        for i in range(50):
-            svc.record_vm(_vm_sample(i))
-        assert len(svc.vm_history("vm0")) == 5
-
     def test_retention_validation(self):
         with pytest.raises(ConfigurationError):
             TelemetryService(retention=0)
 
     def test_recent_error_rate_sees_newest_samples(self):
-        svc = TelemetryService(window=10)
+        svc = TelemetryService(retention=10)
         for i in range(100):
             svc.record_node(_node_sample(i, ce=0))
         for i in range(100, 110):
             svc.record_node(_node_sample(i, ce=3))
         assert svc.recent_error_rate("n0") == pytest.approx(3.0)
 
-    def test_anomaly_log_is_bounded(self):
-        svc = TelemetryService(window=10)
-        assert svc.anomalies.maxlen == max(1024, 8 * svc.retention)
-
     def test_state_dict_size_independent_of_duration(self):
-        short = TelemetryService(window=10)
-        long = TelemetryService(window=10)
+        short = TelemetryService(retention=10)
+        long = TelemetryService(retention=10)
         for i in range(50):
             short.record_node(_node_sample(i))
         for i in range(500):  # 10x the samples, same retention
@@ -222,20 +136,20 @@ class TestTelemetryRetention:
                 == len(short.state_dict()["node_samples"]["n0"]))
 
     def test_load_state_dict_caps_oversized_series(self):
-        uncapped = TelemetryService(window=200)
+        uncapped = TelemetryService(retention=200)
         for i in range(150):
             uncapped.record_node(_node_sample(i))
-        capped = TelemetryService(window=10)
+        capped = TelemetryService(retention=10)
         capped.load_state_dict(uncapped.state_dict())
         history = capped.node_history("n0")
         assert len(history) == 10
         assert history[-1].timestamp == 149.0  # newest kept
 
     def test_round_trip_preserves_queries(self):
-        svc = TelemetryService(window=10)
+        svc = TelemetryService(retention=10)
         for i in range(30):
             svc.record_node(_node_sample(i, ce=i % 3))
-        restored = TelemetryService(window=10)
+        restored = TelemetryService(retention=10)
         restored.load_state_dict(svc.state_dict())
         assert restored.node_history("n0") == svc.node_history("n0")
         assert (restored.recent_error_rate("n0")

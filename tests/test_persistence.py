@@ -314,6 +314,48 @@ class TestDiskResume:
                 directory, snapshot_every_s=300.0, keep=10)
             assert _run_digest(resumed, resumed.run()) == digest
 
+    def test_generation_with_older_telemetry_keys_resumes(self, tmp_path):
+        """Older versions also saved the controller's telemetry copy, the
+        health and per-VM samples of each believed heartbeat, and per-VM
+        series, EWMA windows and an anomaly log in every node's ring.  A
+        generation still carrying them resumes to the uninterrupted end
+        state."""
+        reference = PersistentCampaign(CONFIG)
+        digest = _run_digest(reference, reference.run())
+        abandoned = PersistentCampaign(
+            CONFIG, snapshot_dir=tmp_path, snapshot_every_s=300.0)
+        for _ in range(12):  # generations 0, 5, 10 and two journalled steps
+            abandoned.step()
+        del abandoned
+        store = SnapshotStore(tmp_path)
+        generation = store.generations()[-1]
+        payload = store.load_generation(generation)
+        cloud = payload["state"]["cloud"]
+        vm_sample = {"timestamp": 600.0, "vm_name": "trace-vm0",
+                     "node": "node0", "cpu_utilization": 0.6,
+                     "memory_mb": 812.5, "progress_rate": 0.001}
+        window = {"values": [0.5, 0.6], "ewma": 0.52, "ewmvar": 0.0016}
+        older_keys = {
+            "vm_samples": {"trace-vm0": [vm_sample]},
+            "vm_windows": [["trace-vm0", "cpu", window]],
+            "node_windows": [["node0", "util", window]],
+            "anomalies": ["t=600.0 node=node0 metric=power value=4000"],
+        }
+        for name, node in cloud["nodes"].items():
+            node["local_telemetry"].update(older_keys)
+            samples = node["local_telemetry"]["node_samples"][name]
+            last = cloud["health"]["views"][name]["last"]
+            if last is not None:
+                last.update(sample=samples[-1], vm_samples=[vm_sample])
+        cloud["telemetry"] = {
+            "node_samples": {name: node["local_telemetry"]["node_samples"][name]
+                             for name, node in cloud["nodes"].items()},
+            **older_keys}
+        store.save(generation, payload)
+        resumed = PersistentCampaign.resume(tmp_path, snapshot_every_s=300.0)
+        assert resumed.step_index == 12
+        assert _run_digest(resumed, resumed.run()) == digest
+
     def test_resume_replays_journal_to_the_crash_step(self, tmp_path):
         campaign = PersistentCampaign(
             CONFIG, snapshot_dir=tmp_path, snapshot_every_s=300.0)

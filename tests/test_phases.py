@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.clock import SimClock
 from repro.core.exceptions import ConfigurationError
-from repro.hardware import ChipModel, arm_server_soc_spec, \
-    build_uniserver_node
+from repro.hardware import build_uniserver_node
 from repro.hypervisor import Hypervisor, VirtualMachine
 from repro.workloads import spec_workload
 from repro.workloads.base import StressProfile

@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core invariants."""
 
-import math
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st

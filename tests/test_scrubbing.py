@@ -1,7 +1,5 @@
 """Tests for the ECC exposure (static weak cells + transients) model."""
 
-import math
-
 import pytest
 
 from repro.core.exceptions import ConfigurationError

@@ -5,7 +5,7 @@ import pytest
 from repro.core.clock import SimClock
 from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.events import AnomalyEvent, EventBus, MarginUpdateEvent
-from repro.core.exceptions import ConfigurationError, StressTestError
+from repro.core.exceptions import ConfigurationError
 from repro.daemons.stresslog import StressLog, StressTargets
 from repro.hardware import build_uniserver_node
 

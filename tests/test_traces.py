@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.workloads.traces import (
-    ArrivalEvent,
     TraceConfig,
     TraceGenerator,
     arrivals_per_hour,

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.validation import (
     PaperClaim,
     Tolerance,
-    ValidationReport,
     validate,
 )
 from repro.core.exceptions import ConfigurationError

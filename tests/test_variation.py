@@ -6,7 +6,6 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.hardware.variation import (
     DEFAULT_BINS,
-    Bin,
     VariationModel,
     VariationParameters,
     bin_population,

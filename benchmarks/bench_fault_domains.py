@@ -18,9 +18,6 @@ backpressure, the correlated-demotion guard):
   kind (the browned-out rail's cores) in **one** batch transaction
   when K budget breaches land inside the correlation window.
 
-``PYTHONHASHSEED`` is pinned for the CLI arms, as in the other
-cross-process identity benches.
-
 Scale knobs from the environment:
 
 ``FAULT_DOMAINS_NODES``     fleet size for every arm   (default 32)
@@ -49,7 +46,6 @@ def _env():
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

@@ -16,9 +16,6 @@ layer (``repro.fleet.chaos``):
   checkpointing enabled must cost no more than 10% wall-clock over the
   same executor with checkpointing disabled.
 
-``PYTHONHASHSEED`` is pinned for the CLI arms, as in the other
-cross-process identity benches.
-
 Scale knobs from the environment:
 
 ``FLEET_CHAOS_NODES``          CLI fleet size            (default 16)
@@ -52,7 +49,6 @@ def _env():
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

@@ -6,12 +6,8 @@ throughput of the naive per-object loop (the same kernels applied one
 node at a time, the vector twin of the scalar object stack) — while
 changing *nothing*: the final fleet state must match the naive loop
 bit-for-bit, and a small campaign must produce byte-identical reports
-across the scalar stepper, the vectorized single shard, and a
-multi-shard multi-process run of the ``repro fleet`` CLI.
-
-``PYTHONHASHSEED`` is pinned for the CLI arms: cross-process report
-equivalence is per-interpreter-configuration (exactly as the sweep and
-kill/resume benches pin it).
+from a single shard and a multi-shard multi-process run of the
+``repro fleet`` CLI.
 
 Scale knobs from the environment:
 
@@ -43,7 +39,6 @@ def _env():
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 
@@ -103,21 +98,18 @@ def test_vector_stepping_is_10x_and_bit_identical(
     naive_rate = NODES * STEPS / naive_s
     vector_rate = NODES * STEPS / vector_s
 
-    # CLI identity arms: scalar stepper, vector single-shard, and a
-    # sharded multi-process run must write byte-identical reports.
-    report_scalar = tmp_path / "fleet-scalar.json"
-    report_vector = tmp_path / "fleet-vector.json"
+    # CLI identity arms: a single shard and a sharded multi-process run
+    # must write byte-identical reports.
+    report_single = tmp_path / "fleet-single.json"
     report_sharded = tmp_path / "fleet-sharded.json"
     for path, options in (
-            (report_scalar, {"stepper": "scalar"}),
-            (report_vector, {}),
+            (report_single, {}),
             (report_sharded, {"shards": 4, "jobs": 2})):
         subprocess.run(_fleet_argv(path, **options), check=True,
                        env=_env(), cwd=_REPO_ROOT,
                        stdout=subprocess.DEVNULL, timeout=600)
-    scalar_bytes = report_scalar.read_bytes()
-    cli_identical = (scalar_bytes == report_vector.read_bytes()
-                     and scalar_bytes == report_sharded.read_bytes())
+    cli_identical = (report_single.read_bytes()
+                     == report_sharded.read_bytes())
 
     emit("fleet_scaling", "\n".join([
         f"fleet stepping: {NODES} nodes x {STEPS} steps",
@@ -128,14 +120,14 @@ def test_vector_stepping_is_10x_and_bit_identical(
         f"speedup: {speedup:.1f}x (floor {MIN_SPEEDUP:.0f}x)",
         f"final state bit-identical: {identical}",
         f"CLI reports byte-identical "
-        f"(scalar/vector/shards=4 jobs=2, {CLI_NODES} nodes): "
+        f"(shards=1 / shards=4 jobs=2, {CLI_NODES} nodes): "
         f"{cli_identical}",
     ]))
 
     assert identical, (
         "vectorized stepping diverged from the per-node loop")
     assert cli_identical, (
-        "fleet campaign report depends on stepper/shards/jobs")
+        "fleet campaign report depends on shards/jobs")
     assert speedup >= MIN_SPEEDUP, (
         f"vectorized stepping only {speedup:.1f}x faster than the "
         f"naive loop at {NODES} nodes (floor {MIN_SPEEDUP:.0f}x)")

@@ -14,9 +14,6 @@ kill is a real process death, not a simulated one):
   snapshot generation exists, then ``--resume``d to completion and its
   report compared byte-for-byte against arm A's.
 
-``PYTHONHASHSEED`` is pinned for both arms: the VM application-trace
-seeds hash VM names, so equivalence is per-interpreter-configuration.
-
 Scale knobs from the environment:
 
 ``RESUME_BENCH_NODES``     rack size          (default 3)
@@ -58,7 +55,6 @@ def _env():
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

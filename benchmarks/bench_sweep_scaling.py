@@ -11,11 +11,6 @@ Two arms, both run as subprocesses of the ``repro sweep`` CLI:
 * **parallel** — ``--jobs N`` (default 4), timed, and its report
   compared byte-for-byte against the serial arm's.
 
-``PYTHONHASHSEED`` is pinned for both arms: the VM application-trace
-seeds hash VM names, so cross-process equivalence is
-per-interpreter-configuration (exactly as the kill/resume bench pins
-it).
-
 The byte-identity assertion always runs.  The speedup assertion only
 runs when the machine actually has cores to parallelise over (>= 2
 visible CPUs); on a single-core host the parallel arm degenerates to
@@ -71,7 +66,6 @@ def _env():
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["PYTHONHASHSEED"] = "0"
     return env
 
 

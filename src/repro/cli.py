@@ -593,7 +593,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fleet=FleetConfig(n_nodes=args.nodes, seed=args.seed),
         duration_s=args.duration,
         arrivals_per_hour=args.rate,
-        shards=args.shards, stepper=args.stepper,
+        shards=args.shards,
         chaos_seed=args.chaos_seed,
         chaos_rate_per_hour=args.chaos_rate,
         chaos_intensity=args.chaos_intensity,
@@ -618,8 +618,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     totals = report["totals"]
     ep = report["energy_proportionality"]
     print(f"fleet campaign: {args.nodes} nodes, "
-          f"{args.shards} shard(s), jobs={args.jobs}, "
-          f"stepper={args.stepper}")
+          f"{args.shards} shard(s), jobs={args.jobs}")
     print(f"steps {totals['steps']}, admitted {totals['admitted']}, "
           f"rejected {totals['rejected']}, "
           f"completed {totals['completed']}")
@@ -896,11 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--jobs", type=int, default=1,
                        help="worker processes stepping shards in "
                             "parallel")
-    fleet.add_argument("--stepper", choices=("vector", "scalar"),
-                       default="vector",
-                       help="batch kernels or the naive per-node loop "
-                            "(identical output; scalar is the bench "
-                            "baseline)")
     fleet.add_argument("--snapshot-dir", default=None,
                        help="persist checksummed snapshot generations "
                             "here")

@@ -33,16 +33,13 @@ from .scheduler import (
     Placement,
     RISK_AWARE_WEIGHERS,
     RoundRobinScheduler,
-    TIER_AWARE_WEIGHERS,
     WeigherSpec,
     balance_weigher,
     capacity_filter,
     energy_weigher,
-    health_filter,
     reliability_weigher,
     risk_aware_weigher,
     sla_performance_filter,
-    tier_capacity_weigher,
     sla_reliability_filter,
 )
 from .sla import (
@@ -78,9 +75,8 @@ __all__ = [
     "storm_plan",
     "DEFAULT_FILTERS", "DEFAULT_WEIGHERS", "FilterScheduler", "Placement",
     "RISK_AWARE_WEIGHERS", "RoundRobinScheduler", "WeigherSpec",
-    "TIER_AWARE_WEIGHERS", "tier_capacity_weigher",
     "balance_weigher", "capacity_filter", "energy_weigher",
-    "health_filter", "reliability_weigher", "risk_aware_weigher",
+    "reliability_weigher", "risk_aware_weigher",
     "sla_performance_filter", "sla_reliability_filter",
     "BRONZE", "DEFAULT_TIERS", "GOLD", "SILVER", "SLA", "SLARecord",
     "SLATracker",

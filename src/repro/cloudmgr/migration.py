@@ -17,6 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.exceptions import ConfigurationError, MigrationError
 from ..hypervisor.vm import VMState
+from ..resilience.health import NodeView
 from .node import ComputeNode
 from .scheduler import FilterScheduler
 from .sla import SLA, SLATracker
@@ -139,11 +140,10 @@ class MigrationManager:
         if not was_running:
             detached.pause()
         # The VM's QoS guarantee travels with it.
-        if hasattr(source, "qos") and hasattr(destination, "qos"):
-            requirement = source.qos.requirement_for(vm_name)
-            source.qos.unregister(vm_name)
-            if requirement is not None:
-                destination.qos.register(vm_name, requirement)
+        requirement = source.qos.requirement_for(vm_name)
+        source.qos.unregister(vm_name)
+        if requirement is not None:
+            destination.qos.register(vm_name, requirement)
 
         record = MigrationRecord(
             vm_name=vm_name, source=source.name,
@@ -158,10 +158,10 @@ class MigrationManager:
             self.tracker.account(vm_name, record.downtime_s, up=False)
         return record
 
-    def evacuate(self, source: ComputeNode, others: Sequence,
-                 tracker: SLATracker, proactive: bool = True,
-                 resolve: Optional[Callable[[str], ComputeNode]] = None,
-                 ) -> List[MigrationRecord]:
+    def evacuate(self, source: ComputeNode, others: Sequence[NodeView],
+                 tracker: SLATracker,
+                 resolve: Callable[[str], ComputeNode],
+                 proactive: bool = True) -> List[MigrationRecord]:
         """Move every active VM off a (predicted-failing) node.
 
         VMs migrate in descending SLA priority — "high value and
@@ -171,10 +171,9 @@ class MigrationManager:
         place, recorded as a failed attempt for the caller's retry
         policy.
 
-        ``others`` may be real nodes or the controller's ``NodeView``
-        beliefs (they duck-type the scheduling surface); with views,
-        pass ``resolve`` to map the chosen node name back to the real
-        node the migration is actually executed against.
+        Destinations are chosen over the controller's ``others``
+        beliefs; ``resolve`` maps the chosen name back to the real node
+        the migration is executed against.
         """
         vms = sorted(
             source.hypervisor.active_vms(),
@@ -189,12 +188,10 @@ class MigrationManager:
                 placement = self.scheduler.schedule(candidates, vm, sla)
             except Exception:
                 continue
-            destination = (resolve(placement.node) if resolve is not None
-                           else next(n for n in candidates
-                                     if n.name == placement.node))
             try:
                 moved.append(self.migrate(
-                    vm.name, source, destination, sla, proactive=proactive,
+                    vm.name, source, resolve(placement.node), sla,
+                    proactive=proactive,
                 ))
             except MigrationError:
                 continue

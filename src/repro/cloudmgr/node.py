@@ -118,9 +118,6 @@ class ComputeNode:
         #: Node-local failure-risk predictor (lazily a
         #: ThresholdFailurePredictor; the controller may swap it).
         self.risk_predictor = None
-        #: Last horizon report shipped in a heartbeat (serving cache —
-        #: rebuilt on the next heartbeat, so not persisted).
-        self.last_risk_report = None
         #: Chaos switches: the Predictor daemon is down (heartbeats ship
         #: no risk report) / recovery commands are silently swallowed.
         self.predictor_down = False
@@ -187,20 +184,6 @@ class ComputeNode:
         """The node's EOP governor (supervised margin adoption)."""
         return self.node.governor
 
-    @property
-    def stale_fallback_s(self) -> Optional[float]:
-        """Telemetry-staleness horizon of the conservative fallback.
-
-        Delegates to the governor, which owns the fallback since the
-        one-shot era; kept as a node attribute because the cloud
-        controller's degradation config arms it per-node.
-        """
-        return self.node.governor.stale_fallback_s
-
-    @stale_fallback_s.setter
-    def stale_fallback_s(self, value: Optional[float]) -> None:
-        self.node.governor.stale_fallback_s = value
-
     # -- capacity ---------------------------------------------------------
 
     @property
@@ -227,18 +210,6 @@ class ComputeNode:
     def free_memory_mb(self) -> float:
         """Memory still available (MB)."""
         return max(0.0, self.total_memory_mb() - self.used_memory_mb())
-
-    def tier_free_mb(self) -> Dict[str, float]:
-        """Free memory per reliability tier (MB), for tier-aware weighing."""
-        capacity = {
-            tier: gb * 1024.0
-            for tier, gb in self.platform.memory.tier_capacity_gb().items()
-        }
-        used = self.hypervisor.placement.tier_usage_mb()
-        return {
-            tier: max(0.0, capacity[tier] - used.get(tier, 0.0))
-            for tier in capacity
-        }
 
     def can_host(self, vm: VirtualMachine) -> bool:
         """Capacity check for one more VM."""
@@ -325,18 +296,11 @@ class ComputeNode:
         """Node-local horizon risk report (None while Predictor down)."""
         if self.predictor_down:
             self.runtime.metrics.inc("resilience.predictor.unavailable")
-            self.last_risk_report = None
             return None
         if self.risk_predictor is None:
             from .failure_prediction import ThresholdFailurePredictor
             self.risk_predictor = ThresholdFailurePredictor()
-        self.last_risk_report = self.risk_predictor.report(
-            self, self.local_telemetry)
-        return self.last_risk_report
-
-    def risk_report(self):
-        """The last horizon report shipped (None before any heartbeat)."""
-        return self.last_risk_report
+        return self.risk_predictor.report(self, self.local_telemetry)
 
     def heartbeat(self) -> Optional[Heartbeat]:
         """The periodic self-report to the controller.

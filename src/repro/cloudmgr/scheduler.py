@@ -6,11 +6,14 @@ reliability metric, "focus[ing] on incurring minimal overhead and being
 non-intrusive in real-world scenarios where OpenStack would manage
 streams of incoming and terminating VMs".
 
-The :class:`FilterScheduler` follows the classical two-phase design:
-filters discard infeasible nodes (capacity, SLA compatibility, health),
-then weighers rank the survivors.  UniServer's reliability-aware weigher
-set trades energy efficiency against node reliability per the VM's SLA
-tier; a :class:`RoundRobinScheduler` baseline exists for the ablation.
+The scheduler reads beliefs only: every filter and weigher takes a
+heartbeat-fed :class:`~repro.resilience.health.NodeView`, never a live
+node.  The :class:`FilterScheduler` follows the classical two-phase
+design: filters discard infeasible nodes (believed health and capacity,
+SLA compatibility), then weighers rank the survivors.  UniServer's
+reliability-aware weigher set trades energy efficiency against node
+reliability per the VM's SLA tier; a :class:`RoundRobinScheduler`
+baseline exists for the ablation.
 """
 
 from __future__ import annotations
@@ -20,32 +23,27 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..hypervisor.vm import VirtualMachine
-from .node import ComputeNode
+from ..resilience.health import NodeView
 from .sla import SLA
 
-Filter = Callable[[ComputeNode, VirtualMachine, SLA], bool]
-Weigher = Callable[[ComputeNode, VirtualMachine, SLA], float]
+Filter = Callable[[NodeView, VirtualMachine, SLA], bool]
+Weigher = Callable[[NodeView, VirtualMachine, SLA], float]
 
 
 # -- filters ---------------------------------------------------------------
 
-def capacity_filter(node: ComputeNode, vm: VirtualMachine, sla: SLA) -> bool:
-    """Node must have vCPU and memory headroom for the VM."""
-    return node.can_host(vm)
+def capacity_filter(view: NodeView, vm: VirtualMachine, sla: SLA) -> bool:
+    """Node must be believed HEALTHY with vCPU and memory headroom."""
+    return view.can_host(vm)
 
 
-def health_filter(node: ComputeNode, vm: VirtualMachine, sla: SLA) -> bool:
-    """Node must be up."""
-    return not node.hypervisor.crashed
-
-
-def sla_performance_filter(node: ComputeNode, vm: VirtualMachine,
+def sla_performance_filter(view: NodeView, vm: VirtualMachine,
                            sla: SLA) -> bool:
     """Node cores must satisfy the SLA's frequency floor."""
-    return node.frequency_fraction() >= sla.min_frequency_fraction
+    return view.frequency_fraction() >= sla.min_frequency_fraction
 
 
-def sla_reliability_filter(node: ComputeNode, vm: VirtualMachine,
+def sla_reliability_filter(view: NodeView, vm: VirtualMachine,
                            sla: SLA) -> bool:
     """Node failure budget must fit the SLA.
 
@@ -53,47 +51,46 @@ def sla_reliability_filter(node: ComputeNode, vm: VirtualMachine,
     points under a budget looser than the SLA's own.  A node running
     entirely at nominal — never adopted, or demoted back by its EOP
     governor — is safe for any tier regardless of its configured budget:
-    it is not spending any margin right now.
+    it is not spending any margin right now.  Both facts come from the
+    node's last heartbeat.
     """
-    if node.governor.adopted_count() == 0:
+    if view.last.eop_adopted == 0:
         return True
-    return node.hypervisor.config.failure_budget <= sla.failure_budget
+    return view.last.failure_budget <= sla.failure_budget
 
 
 DEFAULT_FILTERS: Tuple[Filter, ...] = (
-    health_filter, capacity_filter, sla_performance_filter,
-    sla_reliability_filter,
+    capacity_filter, sla_performance_filter, sla_reliability_filter,
 )
 
 
 # -- weighers ---------------------------------------------------------------
 
-def energy_weigher(node: ComputeNode, vm: VirtualMachine, sla: SLA) -> float:
+def energy_weigher(view: NodeView, vm: VirtualMachine, sla: SLA) -> float:
     """Prefer nodes that buy more work per watt (lower power is better)."""
-    metrics = node.metrics()
+    metrics = view.metrics()
     if metrics.power_w <= 0:
         return 1.0
     return 1.0 / metrics.power_w
 
 
-def reliability_weigher(node: ComputeNode, vm: VirtualMachine,
+def reliability_weigher(view: NodeView, vm: VirtualMachine,
                         sla: SLA) -> float:
     """Prefer reliable nodes, weighted up for high-priority SLAs."""
-    return node.reliability() * (1.0 + 0.5 * sla.priority)
+    return view.reliability() * (1.0 + 0.5 * sla.priority)
 
 
-def balance_weigher(node: ComputeNode, vm: VirtualMachine, sla: SLA) -> float:
+def balance_weigher(view: NodeView, vm: VirtualMachine, sla: SLA) -> float:
     """Prefer less-utilized nodes (spread the fleet)."""
-    return 1.0 - node.utilization()
+    return 1.0 - view.utilization()
 
 
-def risk_aware_weigher(node: ComputeNode, vm: VirtualMachine,
+def risk_aware_weigher(view: NodeView, vm: VirtualMachine,
                        sla: SLA) -> float:
     """Penalise candidates their own horizon reports predict will fail.
 
-    Reads the node's last multi-horizon risk report (duck-typed: live
-    nodes and heartbeat-fed :class:`~repro.resilience.health.NodeView`
-    beliefs both answer ``risk_report()``).  Only horizons whose
+    Reads the multi-horizon risk report from the node's last
+    heartbeat (``NodeView.risk_report()``).  Only horizons whose
     ``at_risk`` flag is up contribute hazard — the weigher acts on the
     same alarms actuation acts on, scaled by ``probability x
     confidence x nearness`` so a high-confidence 15-minute warning
@@ -106,8 +103,7 @@ def risk_aware_weigher(node: ComputeNode, vm: VirtualMachine,
     (Predictor down, threshold-only fleet) scores a neutral 0.5: no
     evidence is not the same as a clean bill.
     """
-    report_fn = getattr(node, "risk_report", None)
-    report = report_fn() if report_fn is not None else None
+    report = view.risk_report()
     if report is None:
         return 0.5
     hazard = 0.0
@@ -118,76 +114,6 @@ def risk_aware_weigher(node: ComputeNode, vm: VirtualMachine,
         hazard = max(hazard,
                      horizon.probability * horizon.confidence * nearness)
     return 1.0 - min(1.0, hazard)
-
-
-@dataclass
-class RackAntiAffinity:
-    """Opt-in weigher: spread placements across fault-domain racks.
-
-    Nodes named ``node{i}`` fall into contiguous racks of
-    ``nodes_per_rack``; any other name lands in a shared catch-all
-    rack.  The weigher scores a candidate by how few VMs its whole
-    rack currently hosts, so placements drain toward the emptiest
-    rack and a single rack failure (PDU, ToR, cooling) takes out as
-    few VMs as possible.  Not in :data:`DEFAULT_WEIGHERS` — append
-    ``spec()`` to a scheduler's weighers to arm it.
-    """
-
-    nodes: Sequence[ComputeNode]
-    nodes_per_rack: int = 8
-
-    def __post_init__(self) -> None:
-        if self.nodes_per_rack < 1:
-            raise ConfigurationError("nodes_per_rack must be >= 1")
-
-    def rack_of(self, node_name: str) -> int:
-        """The rack index for a node name (-1 = unparseable catch-all)."""
-        suffix = node_name[4:] if node_name.startswith("node") else ""
-        if not suffix.isdigit() or str(int(suffix)) != suffix:
-            return -1
-        return int(suffix) // self.nodes_per_rack
-
-    def weigher(self, node: ComputeNode, vm: VirtualMachine,
-                sla: SLA) -> float:
-        rack = self.rack_of(node.name)
-        load = sum(len(peer.hypervisor.vms) for peer in self.nodes
-                   if self.rack_of(peer.name) == rack)
-        return 1.0 / (1.0 + load)
-
-    def spec(self, weight: float = 1.0) -> "WeigherSpec":
-        """This weigher packaged for a scheduler's weigher list."""
-        return WeigherSpec(self.weigher, weight)
-
-
-def tier_capacity_weigher(node: ComputeNode, vm: VirtualMachine,
-                          sla: SLA) -> float:
-    """Prefer nodes whose per-tier free memory fits the VM's declared mix.
-
-    A VM with a ``criticality_mix`` ({tier: fraction of its memory})
-    scores each candidate by how well the node's free capacity in each
-    requested tier covers that slice — a node with plenty of relaxed
-    memory but a starved normal tier scores poorly for a VM declaring a
-    critical slice, steering criticality-heavy VMs toward nodes that can
-    actually honour their tiers instead of spilling on arrival.  VMs
-    without a mix (and nodes without tier accounting) score a neutral
-    0.5, which min-max normalisation makes ranking-neutral.
-    """
-    mix = getattr(vm, "criticality_mix", None)
-    tier_free_fn = getattr(node, "tier_free_mb", None)
-    if not mix or tier_free_fn is None:
-        return 0.5
-    free_mb = tier_free_fn()
-    total_need = vm.guest_os_mb + vm.workload.demand.memory_mb
-    total_fraction = sum(mix.values())
-    score = 0.0
-    for tier, fraction in mix.items():
-        weight = fraction / total_fraction
-        need_mb = fraction * total_need
-        if need_mb <= 0:
-            score += weight
-            continue
-        score += weight * min(1.0, free_mb.get(tier, 0.0) / need_mb)
-    return score
 
 
 @dataclass(frozen=True)
@@ -209,13 +135,6 @@ DEFAULT_WEIGHERS: Tuple[WeigherSpec, ...] = (
 #: Opt-in rather than default so existing ablations keep their baseline.
 RISK_AWARE_WEIGHERS: Tuple[WeigherSpec, ...] = DEFAULT_WEIGHERS + (
     WeigherSpec(risk_aware_weigher, 1.5),
-)
-
-#: The default set plus per-tier capacity weighing — the scheduler arm
-#: of heterogeneous-reliability placement.  Opt-in for the same reason
-#: as the risk-aware set: existing ablations keep their baseline.
-TIER_AWARE_WEIGHERS: Tuple[WeigherSpec, ...] = DEFAULT_WEIGHERS + (
-    WeigherSpec(tier_capacity_weigher, 1.5),
 )
 
 
@@ -240,22 +159,22 @@ class FilterScheduler:
         self.filters = tuple(filters)
         self.weighers = tuple(weighers)
 
-    def feasible_nodes(self, nodes: Sequence[ComputeNode],
-                       vm: VirtualMachine, sla: SLA) -> List[ComputeNode]:
-        """Nodes passing every filter."""
-        survivors = list(nodes)
+    def feasible_nodes(self, views: Sequence[NodeView],
+                       vm: VirtualMachine, sla: SLA) -> List[NodeView]:
+        """Views passing every filter."""
+        survivors = list(views)
         for node_filter in self.filters:
-            survivors = [n for n in survivors if node_filter(n, vm, sla)]
+            survivors = [v for v in survivors if node_filter(v, vm, sla)]
             if not survivors:
                 break
         return survivors
 
-    def _score(self, candidates: Sequence[ComputeNode], vm: VirtualMachine,
+    def _score(self, candidates: Sequence[NodeView], vm: VirtualMachine,
                sla: SLA) -> Dict[str, float]:
         """Min-max-normalised weighted scores, per OpenStack convention."""
-        totals = {node.name: 0.0 for node in candidates}
+        totals = {view.name: 0.0 for view in candidates}
         for spec in self.weighers:
-            raw = {n.name: spec.weigher(n, vm, sla) for n in candidates}
+            raw = {v.name: spec.weigher(v, vm, sla) for v in candidates}
             low, high = min(raw.values()), max(raw.values())
             span = high - low
             for name, value in raw.items():
@@ -263,16 +182,16 @@ class FilterScheduler:
                 totals[name] += spec.weight * normalised
         return totals
 
-    def schedule(self, nodes: Sequence[ComputeNode], vm: VirtualMachine,
+    def schedule(self, views: Sequence[NodeView], vm: VirtualMachine,
                  sla: SLA) -> Placement:
         """Pick the best node or raise :class:`SchedulingError`."""
-        candidates = self.feasible_nodes(nodes, vm, sla)
+        candidates = self.feasible_nodes(views, vm, sla)
         if not candidates:
             raise SchedulingError(
                 f"no feasible node for VM {vm.name!r} (tier {sla.name})"
             )
         scores = self._score(candidates, vm, sla)
-        best = max(candidates, key=lambda n: (scores[n.name], n.name))
+        best = max(candidates, key=lambda v: (scores[v.name], v.name))
         return Placement(vm_name=vm.name, node=best.name,
                          score=scores[best.name])
 
@@ -283,17 +202,17 @@ class RoundRobinScheduler:
     def __init__(self) -> None:
         self._cursor = 0
 
-    def schedule(self, nodes: Sequence[ComputeNode], vm: VirtualMachine,
+    def schedule(self, views: Sequence[NodeView], vm: VirtualMachine,
                  sla: SLA) -> Placement:
         """Pick a node with capacity, rotating the cursor."""
-        if not nodes:
+        if not views:
             raise SchedulingError("no nodes registered")
-        n = len(nodes)
+        n = len(views)
         for i in range(n):
-            node = nodes[(self._cursor + i) % n]
-            if not node.hypervisor.crashed and node.can_host(vm):
+            view = views[(self._cursor + i) % n]
+            if view.can_host(vm):
                 self._cursor = (self._cursor + i + 1) % n
-                return Placement(vm_name=vm.name, node=node.name, score=0.0)
+                return Placement(vm_name=vm.name, node=view.name, score=0.0)
         raise SchedulingError(
             f"no node with capacity for VM {vm.name!r}"
         )

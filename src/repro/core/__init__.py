@@ -18,7 +18,6 @@ from .events import (
     ConfigChangeEvent,
     CorrectableErrorEvent,
     CrashEvent,
-    DEFAULT_HISTORY_LIMIT,
     Event,
     EventBus,
     MarginUpdateEvent,
@@ -73,7 +72,7 @@ __all__ = [
     "refresh_ladder", "voltage_sweep",
     "HistogramStats", "MetricsRegistry", "NodeRuntime", "spawn_runtimes",
     "AnomalyEvent", "ConfigChangeEvent", "CorrectableErrorEvent",
-    "CrashEvent", "DEFAULT_HISTORY_LIMIT", "Event", "EventBus",
+    "CrashEvent", "Event", "EventBus",
     "MarginUpdateEvent", "SensorEvent", "UncorrectableErrorEvent",
     "CheckpointError", "ConfigurationError", "HardwareFault",
     "IsolationError", "MachineCrash", "MigrationError",

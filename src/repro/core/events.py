@@ -13,7 +13,7 @@ simulation deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Type, TypeVar
+from typing import Callable, Dict, List, Type, TypeVar
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,6 @@ class EOPTransitionEvent(Event):
 E = TypeVar("E", bound=Event)
 Handler = Callable[[Event], None]
 
-#: Default retention bound of :meth:`EventBus.keep_history`.  Long rack
-#: simulations publish millions of events; an unbounded history is a
-#: memory leak, so callers who really want everything must say so with
-#: ``unlimited=True``.
-DEFAULT_HISTORY_LIMIT = 10_000
-
 
 class EventBus:
     """Synchronous publish/subscribe bus with type-based routing.
@@ -118,36 +112,6 @@ class EventBus:
 
     def __init__(self) -> None:
         self._subscribers: Dict[Type[Event], List[Handler]] = {}
-        self._history: List[Event] = []
-        self._history_enabled = False
-        self._history_limit: Optional[int] = None
-
-    def keep_history(self, limit: Optional[int] = None, *,
-                     unlimited: bool = False) -> None:
-        """Retain published events for later inspection.
-
-        ``limit`` bounds the retained history (oldest events trimmed
-        first) and defaults to :data:`DEFAULT_HISTORY_LIMIT`.  Unbounded
-        retention must be requested explicitly with ``unlimited=True``;
-        passing both a limit and ``unlimited`` is a contradiction and
-        raises.
-        """
-        if unlimited and limit is not None:
-            raise ValueError("pass either a limit or unlimited=True, "
-                             "not both")
-        if limit is not None and limit < 1:
-            raise ValueError("history limit must be >= 1")
-        self._history_enabled = True
-        if unlimited:
-            self._history_limit = None
-        else:
-            self._history_limit = (limit if limit is not None
-                                   else DEFAULT_HISTORY_LIMIT)
-
-    @property
-    def history(self) -> List[Event]:
-        """Events retained since :meth:`keep_history` was enabled."""
-        return list(self._history)
 
     def subscribe(self, event_type: Type[E],
                   handler: Callable[[E], None]) -> Callable[[], None]:
@@ -174,11 +138,6 @@ class EventBus:
         in subscription order; a handler raising propagates to the
         publisher, which models a fault taking down its observer chain.
         """
-        if self._history_enabled:
-            self._history.append(event)
-            if (self._history_limit is not None
-                    and len(self._history) > self._history_limit):
-                del self._history[: len(self._history) - self._history_limit]
         delivered = 0
         for event_type, handlers in list(self._subscribers.items()):
             if isinstance(event, event_type):
@@ -188,8 +147,5 @@ class EventBus:
         return delivered
 
     def clear(self) -> None:
-        """Drop all subscribers, history and retention (between experiments)."""
+        """Drop all subscribers (between experiments)."""
         self._subscribers.clear()
-        self._history.clear()
-        self._history_enabled = False
-        self._history_limit = None

@@ -11,9 +11,8 @@ the repo uses).
 **Determinism contract** (pinned by ``tests/test_fleet_campaign.py``
 and priced by ``benchmarks/bench_fleet_scaling.py`` /
 ``benchmarks/bench_fleet_chaos.py``): the campaign report is
-byte-identical across ``stepper`` (vector vs. naive per-node loop),
-``shards``, ``jobs`` — and across **worker deaths**.  Four mechanisms
-carry it:
+byte-identical across ``shards``, ``jobs`` — and across **worker
+deaths**.  Four mechanisms carry it:
 
 * all randomness is counter-based (:mod:`repro.fleet.vectors`,
   :mod:`repro.fleet.chaos`), so a draw depends on ``(node key, step,
@@ -89,8 +88,6 @@ from .vectors import (
 
 logger = logging.getLogger(__name__)
 
-STEPPERS = ("vector", "scalar")
-
 #: ``down_until_step`` sentinel for permanently quarantined nodes.
 _FOREVER = 2**62
 
@@ -103,12 +100,12 @@ _SAMPLED = ("power_w", "margin_on")
 class FleetCampaignConfig:
     """Everything needed to rebuild a fleet campaign from scratch.
 
-    ``shards``/``stepper`` are execution knobs: they ride in snapshots
-    (a resume rebuilds the same execution by default) but are excluded
-    from the report's config echo, because the report must not depend
-    on them.  The chaos knobs (``chaos_seed`` and friends) are *not*
-    execution knobs — injected faults change the physics, so they stay
-    in the echo.  Supervision knobs (worker timeouts, restart budgets,
+    ``shards`` is an execution knob: it rides in snapshots (a resume
+    rebuilds the same execution by default) but is excluded from the
+    report's config echo, because the report must not depend on it.
+    The chaos knobs (``chaos_seed`` and friends) are *not* execution
+    knobs — injected faults change the physics, so they stay in the
+    echo.  Supervision knobs (worker timeouts, restart budgets,
     kill injection) live on :class:`FleetCampaign`, not here: they must
     never perturb the report.
     """
@@ -120,7 +117,6 @@ class FleetCampaignConfig:
     max_vcpus: int = 4
     telemetry_every_steps: int = 10
     shards: int = 1
-    stepper: str = "vector"
     label: str = "fleet"
     #: Seeded vectorized fault plan (None = no chaos).
     chaos_seed: Optional[int] = None
@@ -160,9 +156,6 @@ class FleetCampaignConfig:
         if self.telemetry_every_steps < 1:
             raise ConfigurationError(
                 "telemetry_every_steps must be >= 1")
-        if self.stepper not in STEPPERS:
-            raise ConfigurationError(
-                f"stepper must be one of {STEPPERS}")
         if self.chaos_rate_per_hour < 0:
             raise ConfigurationError("chaos rate cannot be negative")
         if not 0 < self.chaos_intensity <= 1:
@@ -233,7 +226,6 @@ class FleetCampaignConfig:
             "max_vcpus": self.max_vcpus,
             "telemetry_every_steps": self.telemetry_every_steps,
             "shards": self.shards,
-            "stepper": self.stepper,
             "label": self.label,
             "chaos_seed": self.chaos_seed,
             "chaos_rate_per_hour": self.chaos_rate_per_hour,
@@ -253,13 +245,17 @@ class FleetCampaignConfig:
         """Config echo for reports: execution knobs stripped."""
         state = self.as_dict()
         del state["shards"]
-        del state["stepper"]
         return state
 
     @staticmethod
     def from_dict(state: Dict[str, object]) -> "FleetCampaignConfig":
-        """Rebuild a config saved by :meth:`as_dict`."""
+        """Rebuild a config saved by :meth:`as_dict`.
+
+        Older snapshots also carry the key of the removed per-node loop
+        option; it is dropped.
+        """
         state = dict(state)
+        state.pop("stepper", None)
         state["fleet"] = FleetConfig.from_dict(state["fleet"])  # type: ignore[arg-type]
         return FleetCampaignConfig(**state)  # type: ignore[arg-type]
 
@@ -294,11 +290,7 @@ class _Shards:
     def step(self, t: int, used) -> None:
         self.state.used_vcpus[:] = used
         for view, chaos_view in self.views.values():
-            if self.config.stepper == "vector":
-                self.vectors.step(view, t, chaos_view)
-            else:
-                for index in range(view.n):
-                    self.vectors.step_node(view, index, t, chaos_view)
+            self.vectors.step(view, t, chaos_view)
 
     def overlay(self, pieces) -> None:
         """Load the ``(index, dynamics)`` pieces of owned shards; None
@@ -1081,8 +1073,7 @@ class FleetCampaign:
             return False
         _generation, payload = loaded
         saved = FleetCampaignConfig.from_dict(payload["config"])  # type: ignore[arg-type]
-        ours = replace(self.config, shards=saved.shards,
-                       stepper=saved.stepper)
+        ours = replace(self.config, shards=saved.shards)
         if saved != ours:
             raise PersistenceError(
                 "snapshot belongs to a different campaign config")
@@ -1145,8 +1136,8 @@ class FleetCampaign:
         }
 
     def report(self) -> Dict[str, object]:
-        """The canonical campaign report (shards/jobs/stepper
-        invariant, and invariant to replayed worker deaths)."""
+        """The canonical campaign report (shards/jobs invariant, and
+        invariant to replayed worker deaths)."""
         final = self.executor.gather()
         last_step = self.step_index - 1
         down_final = (

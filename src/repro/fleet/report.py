@@ -1,9 +1,9 @@
 """Canonical fleet reports and energy-proportionality metrics.
 
 :func:`fleet_campaign_report` is the vectorized campaign surface,
-invariant to ``shards``/``jobs``/stepper because its inputs already
-are (the campaign layer guarantees that; the report only orders and
-rounds nothing).
+invariant to ``shards``/``jobs`` because its inputs already are (the
+campaign layer guarantees that; the report only orders and rounds
+nothing).
 
 The energy-proportionality block follows the Barroso/Hölzle framing
 the PAPERS.md subsystem-level power-management line builds on:
@@ -68,8 +68,8 @@ def fleet_campaign_report(config_echo: Dict[str, object],
     """Canonical report of one vectorized fleet campaign.
 
     ``config_echo`` must already exclude execution-only knobs (shards,
-    jobs, stepper) — the report is the identity surface those knobs
-    must not perturb.  The EP anchors are deterministic fixed points of
+    jobs) — the report is the identity surface those knobs must not
+    perturb.  The EP anchors are deterministic fixed points of
     the config alone, so every execution of the same campaign reports
     the same proportionality block.
 

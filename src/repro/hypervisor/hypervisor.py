@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..core.clock import SimClock, step_count
+from ..core.clock import SimClock
 from ..core.eop import OperatingPoint
 from ..core.events import (
     ConfigChangeEvent,
@@ -36,7 +36,6 @@ from ..core.events import (
 )
 from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.runtime import MetricsRegistry, NodeRuntime
-from ..daemons.infovector import MarginVector
 from ..hardware.faults import FaultClass, FaultOrigin, FaultRecord
 from ..hardware.platform import ServerPlatform
 from .memory import (
@@ -375,29 +374,6 @@ class Hypervisor:
             new_point=f"refresh {domain.refresh_interval_s * 1e3:.0f} ms",
         ))
 
-    def apply_margins(self, margins: MarginVector) -> List[str]:
-        """Adopt characterised safe points that fit the failure budget.
-
-        Returns the components whose configuration changed.  A margin with
-        failure probability above the budget is skipped (counted in the
-        ``hypervisor.margin_skips`` metric) — the component stays at its
-        current, safer point.  Supervised adoption with rollback lives in
-        :class:`repro.eop.EOPGovernor`, which drives this hypervisor's
-        :meth:`apply_component` primitive instead.
-        """
-        changed: List[str] = []
-        for margin in margins.margins:
-            if margin.failure_probability > self.config.failure_budget:
-                self.metrics.inc("hypervisor.margin_skips")
-                continue
-            if self.apply_component(margin.component,
-                                    margin.safe_point) is not None:
-                changed.append(margin.component)
-        if changed:
-            self.stats.margin_applications += 1
-            self.metrics.inc("hypervisor.margin_applications")
-        return changed
-
     # -- the execution engine --------------------------------------------------------
 
     def _record_fault(self, fault_class: FaultClass, origin: FaultOrigin,
@@ -559,13 +535,3 @@ class Hypervisor:
         vm_mb = sum(vm.guest_os_mb for vm in active)
         app_mb = sum(vm.memory_usage_mb() - vm.guest_os_mb for vm in active)
         self.accountant.sample(self.clock.now, len(active), vm_mb, app_mb)
-
-    def run(self, duration_s: float) -> None:
-        """Run the tick loop for a stretch of simulated time."""
-        if duration_s < 0:
-            raise ConfigurationError("duration must be non-negative")
-        n_ticks = step_count(duration_s, self.config.tick_s)
-        for _ in range(n_ticks):
-            if self._crashed:
-                break
-            self.tick()

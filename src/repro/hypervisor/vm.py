@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,61 @@ class VMState(Enum):
 #: States in which a VM occupies host resources.
 ACTIVE_STATES = (VMState.RUNNING, VMState.PAUSED, VMState.MIGRATING)
 
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl64(x: int, bits: int) -> int:
+    return ((x << bits) | (x >> (64 - bits))) & _MASK64
+
+
+def _sip_round(v0: int, v1: int, v2: int,
+               v3: int) -> Tuple[int, int, int, int]:
+    v0 = (v0 + v1) & _MASK64
+    v2 = (v2 + v3) & _MASK64
+    v1 = _rotl64(v1, 13) ^ v0
+    v3 = _rotl64(v3, 16) ^ v2
+    v0 = _rotl64(v0, 32)
+    v2 = (v2 + v1) & _MASK64
+    v0 = (v0 + v3) & _MASK64
+    v1 = _rotl64(v1, 17) ^ v2
+    v3 = _rotl64(v3, 21) ^ v0
+    return v0, v1, _rotl64(v2, 32), v3
+
+
+def _stable_name_hash(name: str) -> int:
+    """A VM name's hash, the same in every process.
+
+    SipHash-1-3 with a zero key over the string's compact form
+    (Latin-1, UCS-2 or UCS-4, little-endian), as a signed 64-bit value:
+    exactly CPython's ``hash(name)`` from 3.11 on under
+    ``PYTHONHASHSEED=0``, including ``hash("") == 0`` and -1 mapping to
+    -2.  Unlike ``hash``, it does not change with the hash seed or the
+    interpreter, so memory traces seeded from it do not either.
+    """
+    if not name:
+        return 0
+    widest = max(map(ord, name))
+    data = name.encode("latin-1" if widest < 0x100
+                       else "utf-16-le" if widest < 0x10000
+                       else "utf-32-le", "surrogatepass")
+    v0, v1, v2, v3 = (0x736F6D6570736575, 0x646F72616E646F6D,
+                      0x6C7967656E657261, 0x7465646279746573)
+    body = len(data) - len(data) % 8
+    words = [int.from_bytes(data[i:i + 8], "little")
+             for i in range(0, body, 8)]
+    words.append(int.from_bytes(data[body:], "little")
+                 | (len(data) & 0xFF) << 56)
+    for word in words:
+        v0, v1, v2, v3 = _sip_round(v0, v1, v2, v3 ^ word)
+        v0 ^= word
+    v2 ^= 0xFF
+    for _ in range(3):
+        v0, v1, v2, v3 = _sip_round(v0, v1, v2, v3)
+    digest = v0 ^ v1 ^ v2 ^ v3
+    if digest >= 1 << 63:
+        digest -= 1 << 64
+    return -2 if digest == -1 else digest
+
 
 @dataclass
 class VirtualMachine:
@@ -50,11 +105,6 @@ class VirtualMachine:
     executed_cycles: float = 0.0
     restarts: int = 0
     _memory_seed: int = 0
-    #: Declared memory-criticality mix: fraction of this VM's memory per
-    #: reliability tier (e.g. ``{"normal": 0.1, "relaxed": 0.9}``).
-    #: ``None`` means the VM declares nothing and tier-aware scheduling
-    #: treats it neutrally.
-    criticality_mix: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -63,16 +113,6 @@ class VirtualMachine:
             raise ConfigurationError("VM needs at least one vCPU")
         if self.guest_os_mb < 0:
             raise ConfigurationError("guest_os_mb must be non-negative")
-        if self.criticality_mix is not None:
-            if not self.criticality_mix:
-                raise ConfigurationError("criticality_mix cannot be empty")
-            for fraction in self.criticality_mix.values():
-                if fraction < 0:
-                    raise ConfigurationError(
-                        "criticality_mix fractions must be >= 0")
-            if sum(self.criticality_mix.values()) <= 0:
-                raise ConfigurationError(
-                    "criticality_mix must sum to a positive fraction")
         self._app_trace: Optional[np.ndarray] = None
 
     # -- progress ----------------------------------------------------------
@@ -170,7 +210,7 @@ class VirtualMachine:
         if self._app_trace is None or len(self._app_trace) != n_steps:
             database_mb = max(64.0, self.workload.demand.memory_mb / 1.3)
             self._app_trace = memory_trace_mb(
-                database_mb, n_steps, seed=self._memory_seed + hash(self.name) % 1000,
+                database_mb, n_steps, seed=self._memory_seed + _stable_name_hash(self.name) % 1000,
             )
         return self._app_trace
 

@@ -9,9 +9,9 @@ controller must decide anyway.  This module is that epistemic layer:
 * :class:`Heartbeat` — the node's self-report: scheduling metrics and
   the node-local multi-horizon risk report;
 * :class:`NodeView` — the controller's belief about one node, built
-  exclusively from received heartbeats.  It duck-types the scheduling
-  surface of ``ComputeNode`` (``can_host``/``metrics``/``hypervisor``…)
-  so the filter/weigh scheduler runs unmodified on *believed* state;
+  exclusively from received heartbeats.  It is the scheduling surface:
+  every filter and weigher reads views (``can_host``/``metrics``/
+  ``risk_report``…), never a live node;
 * :class:`NodeHealthView` — the fleet belief table with the SUSPECT/
   DOWN ladder: N missed heartbeats make a node SUSPECT (no new
   placements), M make it DOWN (recovery machinery engages).
@@ -26,7 +26,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from types import SimpleNamespace
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..core.exceptions import ConfigurationError
@@ -106,9 +105,9 @@ class NodeStatus(Enum):
 class NodeView:
     """The controller's belief about one node, from heartbeats only.
 
-    Duck-types the slice of ``ComputeNode`` the filter/weigh scheduler
-    consumes, answering from the last received heartbeat (adjusted by
-    optimistic reservations for placements issued since).
+    The one type the filter/weigh scheduler reads: it answers from the
+    last received heartbeat, adjusted by optimistic reservations for
+    placements issued since.
     """
 
     #: Reported (timestamp, reliability) pairs retained for the
@@ -174,7 +173,7 @@ class NodeView:
              in state.get("reliability_reports", [])),  # type: ignore[union-attr]
             maxlen=self.RELIABILITY_HISTORY)
 
-    # -- the scheduling surface (duck-typing ComputeNode) ------------------
+    # -- the scheduling surface --------------------------------------------
 
     def free_vcpus(self) -> int:
         """Believed free vCPUs (last report minus reservations)."""
@@ -213,7 +212,7 @@ class NodeView:
         it is returned — the conservative reading of the ground-truth
         semantics, where every fault inside the window still dents the
         score.  Mirrors ``ComputeNode.reliability(window_s)`` so the
-        duck-typed scheduler surface windows the same way.
+        scheduler windows believed reliability the way the node does.
         """
         if window_s <= 0:
             raise ConfigurationError("reliability window must be positive")
@@ -235,40 +234,8 @@ class NodeView:
         return self.metrics().frequency_fraction
 
     def risk_report(self) -> Optional["HorizonRiskReport"]:
-        """Last reported multi-horizon risk report, if any.
-
-        Duck-types ``ComputeNode.risk_report()`` so risk-aware weighers
-        score believed state and live nodes identically.
-        """
+        """Last reported multi-horizon risk report, if any."""
         return self.last.horizon_report if self.last is not None else None
-
-    @property
-    def hypervisor(self) -> SimpleNamespace:
-        """Shim for scheduler filters that peek at ``node.hypervisor``.
-
-        ``crashed`` here means "not believed schedulable" — any state
-        other than HEALTHY — which is exactly what the health filter
-        should act on when ground truth is out of reach.
-        """
-        hb = self.last
-        return SimpleNamespace(
-            crashed=self.state is not NodeStatus.HEALTHY or hb is None,
-            config=SimpleNamespace(
-                failure_budget=hb.failure_budget if hb else 1e-4),
-        )
-
-    @property
-    def governor(self) -> SimpleNamespace:
-        """Shim for scheduler filters that peek at ``node.governor``.
-
-        Mirrors the heartbeat's adopted-component count so the
-        reliability filter sees the same "is this node spending margin
-        right now" signal it reads from a live
-        :class:`~repro.eop.EOPGovernor`.
-        """
-        hb = self.last
-        adopted = hb.eop_adopted if hb else 0
-        return SimpleNamespace(adopted_count=lambda: adopted)
 
     def describe(self) -> str:
         """One-line belief summary."""

@@ -25,11 +25,9 @@ before it crosses the process boundary).  Crashed workers and error
 rows are retried a bounded number of times; permanent failures become
 rows rather than aborting the sweep.
 
-On platforms with ``fork`` the workers inherit the parent's interpreter
-configuration, so jobs-1 and jobs-N sweeps agree byte-for-byte within
-any single parent process.  Comparing reports *across* parent processes
-additionally needs ``PYTHONHASHSEED`` pinned (the VM application-trace
-seeds hash VM names), exactly as the kill/resume bench already does.
+Reports also agree across parent processes, whatever their
+``PYTHONHASHSEED``: VM memory-trace seeds use a fixed SipHash of the
+VM name, not Python's seeded ``hash``.
 """
 
 from __future__ import annotations

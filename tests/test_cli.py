@@ -24,7 +24,6 @@ class TestParser:
         assert args.nodes == 64
         assert args.shards == 1
         assert args.jobs == 1
-        assert args.stepper == "vector"
 
     def test_profile_defaults(self):
         args = build_parser().parse_args(["profile"])

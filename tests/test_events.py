@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.events import (
-    DEFAULT_HISTORY_LIMIT,
     AnomalyEvent,
     CorrectableErrorEvent,
     CrashEvent,
@@ -68,60 +67,16 @@ class TestRouting:
 
 
 class TestHistory:
-    def test_history_off_by_default(self):
-        bus = EventBus()
-        bus.publish(ce())
-        assert bus.history == []
-
-    def test_history_retains_events(self):
-        bus = EventBus()
-        bus.keep_history()
-        bus.publish(ce(t=1.0))
-        bus.publish(ce(t=2.0))
-        assert [e.timestamp for e in bus.history] == [1.0, 2.0]
-
-    def test_history_limit_trims_oldest(self):
-        bus = EventBus()
-        bus.keep_history(limit=2)
-        for t in range(5):
-            bus.publish(ce(t=float(t)))
-        assert [e.timestamp for e in bus.history] == [3.0, 4.0]
-
-    def test_history_bounded_by_default(self):
-        bus = EventBus()
-        bus.keep_history()
-        for t in range(DEFAULT_HISTORY_LIMIT + 10):
-            bus.publish(ce(t=float(t)))
-        assert len(bus.history) == DEFAULT_HISTORY_LIMIT
-        assert bus.history[0].timestamp == 10.0
-
-    def test_unlimited_history_keeps_everything(self):
-        bus = EventBus()
-        bus.keep_history(unlimited=True)
-        for t in range(DEFAULT_HISTORY_LIMIT + 10):
-            bus.publish(ce(t=float(t)))
-        assert len(bus.history) == DEFAULT_HISTORY_LIMIT + 10
-
-    def test_limit_and_unlimited_conflict(self):
-        bus = EventBus()
-        with pytest.raises(ValueError):
-            bus.keep_history(limit=5, unlimited=True)
-
-    def test_limit_must_be_positive(self):
-        bus = EventBus()
-        with pytest.raises(ValueError):
-            bus.keep_history(limit=0)
+    """What the bus retains: its subscribers, until cleared."""
 
     def test_clear_drops_everything(self):
         bus = EventBus()
-        bus.keep_history()
         seen = []
         bus.subscribe(Event, seen.append)
         bus.publish(ce())
         bus.clear()
-        bus.publish(ce())
+        assert bus.publish(ce()) == 0
         assert len(seen) == 1
-        assert bus.history == []
 
 
 class TestEventTypes:

@@ -276,11 +276,9 @@ class TestCampaignWithDomains:
             correlated_config()))
         sharded = canonical_json(run_fleet_campaign(
             correlated_config(shards=4)))
-        scalar = canonical_json(run_fleet_campaign(
-            correlated_config(stepper="scalar")))
         jobs = canonical_json(run_fleet_campaign(
             correlated_config(shards=4), jobs=2))
-        assert baseline == sharded == scalar == jobs
+        assert baseline == sharded == jobs
 
     def test_fault_domains_block_and_echo(self):
         report = run_fleet_campaign(correlated_config())
@@ -460,35 +458,3 @@ class TestCorrelatedGuardGovernor:
             EOPPolicy(name="bad", correlated_k=0)
         with pytest.raises(ConfigurationError):
             EOPPolicy(name="bad", correlated_window_s=0.0)
-
-
-class TestSchedulerAntiAffinity:
-    def test_weigher_prefers_emptier_racks(self):
-        from repro.cloudmgr.node import build_rack
-        from repro.cloudmgr.scheduler import RackAntiAffinity
-        from repro.core.clock import SimClock
-        from repro.hypervisor.vm import VirtualMachine
-        from repro.workloads import spec_workload
-
-        nodes = build_rack(4, clock=SimClock(), seed=0)
-        affinity = RackAntiAffinity(nodes, nodes_per_rack=2)
-        for node in nodes:
-            node.hypervisor.boot()
-        vm = VirtualMachine(name="vm0", vcpus=1,
-                            workload=spec_workload(
-                                "bzip2", duration_cycles=1e9))
-        nodes[0].hypervisor.create_vm(vm)
-        # rack0 = {node0, node1} now hosts a VM; rack1 is empty.
-        loaded = affinity.weigher(nodes[1], None, None)
-        empty = affinity.weigher(nodes[2], None, None)
-        assert empty > loaded
-        assert affinity.rack_of("node3") == 1
-        assert affinity.rack_of("weird") == -1
-        spec = affinity.spec(weight=2.0)
-        assert spec.weight == 2.0
-
-    def test_validation(self):
-        from repro.cloudmgr.scheduler import RackAntiAffinity
-
-        with pytest.raises(ConfigurationError):
-            RackAntiAffinity([], nodes_per_rack=0)

@@ -36,17 +36,22 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_config(mean_lifetime_s=0.0)
         with pytest.raises(ConfigurationError):
-            small_config(stepper="jit")
-        with pytest.raises(ConfigurationError):
             small_config(max_vcpus=99)
         with pytest.raises(ConfigurationError):
             small_config(shards=9)  # more shards than nodes
 
     def test_round_trip_and_report_echo(self):
-        config = small_config(shards=2, stepper="scalar")
+        config = small_config(shards=2)
         assert FleetCampaignConfig.from_dict(config.as_dict()) == config
-        echo = config.as_report_dict()
-        assert "shards" not in echo and "stepper" not in echo
+        assert "shards" not in config.as_report_dict()
+
+    def test_older_config_with_a_stepper_key_loads(self):
+        """Snapshots from before the per-node stepper was retired carry
+        a ``stepper`` key; loading drops it."""
+        config = small_config(shards=2)
+        for stepper in ("vector", "scalar"):
+            older = dict(config.as_dict(), stepper=stepper)
+            assert FleetCampaignConfig.from_dict(older) == config
 
     def test_n_steps(self):
         assert small_config(duration_s=1800.0).n_steps == 30
@@ -56,8 +61,6 @@ class TestExecutionInvariance:
     def test_report_invariant_to_shards_jobs_stepper(self):
         baseline = report_json()
         assert report_json(config=small_config(shards=3)) == baseline
-        assert report_json(config=small_config(stepper="scalar")) \
-            == baseline
         assert report_json(config=small_config(shards=4),
                            jobs=2) == baseline
 

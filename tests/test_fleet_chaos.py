@@ -159,11 +159,9 @@ class TestCampaignUnderChaos:
         baseline = canonical_json(run_fleet_campaign(chaos_config()))
         sharded = canonical_json(run_fleet_campaign(
             chaos_config(shards=4)))
-        scalar = canonical_json(run_fleet_campaign(
-            chaos_config(stepper="scalar")))
         jobs = canonical_json(run_fleet_campaign(
             chaos_config(shards=4), jobs=2))
-        assert baseline == sharded == scalar == jobs
+        assert baseline == sharded == jobs
 
     def test_chaos_seed_changes_report_and_is_echoed(self):
         clean = run_fleet_campaign(chaos_config(chaos_seed=None))

@@ -10,6 +10,7 @@ from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.events import CrashEvent
 from repro.core.exceptions import ConfigurationError
 from repro.daemons.infovector import ComponentMargin, MarginVector
+from repro.eop import EOPGovernor
 from repro.hardware import build_uniserver_node
 from repro.hardware.faults import FaultClass, FaultOrigin
 from repro.hypervisor import (
@@ -96,15 +97,16 @@ class TestLifecycle:
 
 
 class TestMarginApplication:
+    """The hypervisor's ``apply_component`` setter, and the EOP
+    governor's budget gate in front of it."""
+
     def test_safe_margins_adopted(self, hv):
         nominal = hv.platform.chip.spec.nominal
-        vector = MarginVector(
-            timestamp=0.0, node="n",
-            margins=(margin("core0", nominal.with_voltage(0.85)),),
-        )
-        changed = hv.apply_margins(vector)
-        assert changed == ["core0"]
+        undo = hv.apply_component("core0", nominal.with_voltage(0.85))
+        assert undo is not None
         assert hv.platform.core_point(0).voltage_v == pytest.approx(0.85)
+        undo()
+        assert hv.platform.core_point(0) == nominal
 
     def test_unsafe_margins_skipped(self, hv):
         nominal = hv.platform.chip.spec.nominal
@@ -113,7 +115,7 @@ class TestMarginApplication:
             margins=(margin("core0", nominal.with_voltage(0.75),
                             pfail=0.5),),
         )
-        assert hv.apply_margins(vector) == []
+        assert EOPGovernor(hv).adopt(vector).adopted == []
         assert hv.platform.core_point(0) == nominal
 
     def test_over_budget_skips_are_counted(self, hv):
@@ -127,17 +129,13 @@ class TestMarginApplication:
                      margin("core1", nominal.with_voltage(0.75),
                             pfail=0.2)),
         )
-        hv.apply_margins(vector)
+        EOPGovernor(hv).adopt(vector)
         assert hv.metrics.counter("hypervisor.margin_skips") == 2.0
 
     def test_domain_margin_relaxes_refresh(self, hv):
         nominal = hv.platform.chip.spec.nominal
-        vector = MarginVector(
-            timestamp=0.0, node="n",
-            margins=(margin("channel1", nominal.with_refresh(1.5)),),
-        )
-        changed = hv.apply_margins(vector)
-        assert changed == ["channel1"]
+        assert hv.apply_component(
+            "channel1", nominal.with_refresh(1.5)) is not None
         assert hv.platform.memory.domain("channel1").refresh_interval_s \
             == 1.5
 
@@ -149,23 +147,15 @@ class TestMarginApplication:
         seen = []
         hv.bus.subscribe(ConfigChangeEvent, seen.append)
         nominal = hv.platform.chip.spec.nominal
-        vector = MarginVector(
-            timestamp=0.0, node="n",
-            margins=(margin("channel1", nominal.with_refresh(1.5)),),
-        )
-        hv.apply_margins(vector)
+        hv.apply_component("channel1", nominal.with_refresh(1.5))
         assert [e.component for e in seen] == ["channel1"]
         assert "refresh" in seen[0].old_point
         assert "refresh" in seen[0].new_point
 
     def test_margin_preserves_core_refresh_field(self, hv):
         nominal = hv.platform.chip.spec.nominal
-        vector = MarginVector(
-            timestamp=0.0, node="n",
-            margins=(margin("core1",
-                            nominal.with_voltage(0.9).with_refresh(5.0)),),
-        )
-        hv.apply_margins(vector)
+        hv.apply_component("core1",
+                           nominal.with_voltage(0.9).with_refresh(5.0))
         assert hv.platform.core_point(1).refresh_interval_s == \
             NOMINAL_REFRESH_INTERVAL_S
 

@@ -35,7 +35,7 @@ class TestAnomalyTriggersRecharacterization:
         node.pre_deploy()
         node.deploy()
         vector = node.recharacterize()
-        changed = node.hypervisor.apply_margins(vector)
+        changed = node.governor.adopt(vector).adopted
         assert changed  # fresh margins still within the budget
 
 

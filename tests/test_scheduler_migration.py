@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cloudmgr.cloud import CloudController
 from repro.cloudmgr.migration import (
     MigrationCostModel,
     MigrationManager,
@@ -22,11 +23,30 @@ from repro.core.exceptions import (
 )
 from repro.hardware.faults import FaultClass, FaultOrigin, FaultRecord
 from repro.hypervisor.vm import VirtualMachine, VMState
+from repro.resilience.health import NodeHealthView
 from repro.workloads import spec_workload
 
 
 def make_nodes(clock, n=3):
     return [ComputeNode(f"node{i}", clock, seed=i) for i in range(n)]
+
+
+def believe(nodes):
+    """The controller's views of ``nodes`` after one heartbeat round."""
+    health = NodeHealthView()
+    for node in nodes:
+        health.register(node.name)
+        heartbeat = node.heartbeat()
+        if heartbeat is not None:
+            health.observe(heartbeat)
+    return health.views()
+
+
+def record_crashes(node, n=4):
+    for _ in range(n):
+        node.platform.faults.record(FaultRecord(
+            timestamp=0.0, fault_class=FaultClass.CRASH,
+            origin=FaultOrigin.CPU_CORE, component="core0"))
 
 
 def make_vm(name="vm0", cycles=1e12):
@@ -39,7 +59,8 @@ class TestFilterScheduler:
     def test_schedules_on_feasible_node(self):
         clock = SimClock()
         nodes = make_nodes(clock)
-        placement = FilterScheduler().schedule(nodes, make_vm(), SILVER)
+        placement = FilterScheduler().schedule(
+            believe(nodes), make_vm(), SILVER)
         assert placement.node in {n.name for n in nodes}
 
     def test_prefers_reliable_node(self):
@@ -47,18 +68,18 @@ class TestFilterScheduler:
         nodes = make_nodes(clock)
         # Make node0 and node1 unreliable.
         for node in nodes[:2]:
-            for i in range(4):
-                node.platform.faults.record(FaultRecord(
-                    timestamp=0.0, fault_class=FaultClass.CRASH,
-                    origin=FaultOrigin.CPU_CORE, component="core0"))
-        placement = FilterScheduler().schedule(nodes, make_vm(), GOLD)
+            record_crashes(node)
+        placement = FilterScheduler().schedule(
+            believe(nodes), make_vm(), GOLD)
         assert placement.node == "node2"
 
     def test_crashed_node_filtered(self):
+        """A node that never heartbeated is never believed schedulable."""
         clock = SimClock()
         nodes = make_nodes(clock, n=2)
         nodes[0].hypervisor._crashed = True
-        placement = FilterScheduler().schedule(nodes, make_vm(), BRONZE)
+        placement = FilterScheduler().schedule(
+            believe(nodes), make_vm(), BRONZE)
         assert placement.node == "node1"
 
     def test_no_feasible_node_raises(self):
@@ -66,7 +87,7 @@ class TestFilterScheduler:
         nodes = make_nodes(clock, n=1)
         nodes[0].hypervisor._crashed = True
         with pytest.raises(SchedulingError):
-            FilterScheduler().schedule(nodes, make_vm(), BRONZE)
+            FilterScheduler().schedule(believe(nodes), make_vm(), BRONZE)
 
     def test_performance_filter_blocks_slow_nodes(self):
         clock = SimClock()
@@ -74,8 +95,9 @@ class TestFilterScheduler:
         nominal = node.platform.chip.spec.nominal
         node.platform.set_all_core_points(
             nominal.with_frequency(nominal.frequency_hz * 0.5))
-        assert sla_performance_filter(node, make_vm(), GOLD) is False
-        assert sla_performance_filter(node, make_vm(), BRONZE) is True
+        view = believe([node])[0]
+        assert sla_performance_filter(view, make_vm(), GOLD) is False
+        assert sla_performance_filter(view, make_vm(), BRONZE) is True
 
     def test_reliability_filter_spares_nominal_nodes(self):
         from repro.daemons.infovector import ComponentMargin, MarginVector
@@ -84,7 +106,8 @@ class TestFilterScheduler:
         clock = SimClock()
         node = make_nodes(clock, n=1)[0]
         # Node at nominal: acceptable for gold despite loose budget.
-        assert sla_reliability_filter(node, make_vm(), GOLD) is True
+        view = believe([node])[0]
+        assert sla_reliability_filter(view, make_vm(), GOLD) is True
         # One live adoption flips the verdict: the node is now spending
         # margin under its own (looser) failure budget.
         node.governor.policy = EOPPolicy.adopt_within_budget()
@@ -97,7 +120,10 @@ class TestFilterScheduler:
                 failure_probability=1e-9, relative_power=0.8,
                 stress_workload="virus"),)))
         assert node.governor.adopted_count() == 1
-        assert sla_reliability_filter(node, make_vm(), GOLD) is False
+        # The filter sees the adoption once a heartbeat reports it.
+        assert sla_reliability_filter(view, make_vm(), GOLD) is True
+        view = believe([node])[0]
+        assert sla_reliability_filter(view, make_vm(), GOLD) is False
 
     def test_scheduler_needs_filters_and_weighers(self):
         with pytest.raises(ConfigurationError):
@@ -109,9 +135,9 @@ class TestFilterScheduler:
 class TestRoundRobin:
     def test_rotates_over_nodes(self):
         clock = SimClock()
-        nodes = make_nodes(clock)
+        views = believe(make_nodes(clock))
         rr = RoundRobinScheduler()
-        picks = [rr.schedule(nodes, make_vm(f"vm{i}"), BRONZE).node
+        picks = [rr.schedule(views, make_vm(f"vm{i}"), BRONZE).node
                  for i in range(3)]
         assert picks == ["node0", "node1", "node2"]
 
@@ -179,80 +205,27 @@ class TestMigration:
         nodes[0].hypervisor.create_vm(gold_vm)
         tracker.register("gold_vm", GOLD)
         tracker.register("bronze_vm", BRONZE)
-        records = manager.evacuate(nodes[0], nodes, tracker)
+        records = manager.evacuate(
+            nodes[0], believe(nodes), tracker,
+            resolve={n.name: n for n in nodes}.__getitem__)
         assert [r.vm_name for r in records] == ["gold_vm", "bronze_vm"]
         assert manager.proactive_migrations() == 2
         assert nodes[0].hypervisor.active_vms() == []
 
 
-class TestTierAwareWeighing:
-    def make_tiered_node(self, name, clock, seed=0, n_channels=4):
-        from repro.hardware.chip import ChipModel, arm_server_soc_spec
-        from repro.hardware.dram import tiered_server_memory
-        from repro.hardware.platform import ServerPlatform
-        platform = ServerPlatform(
-            ChipModel(arm_server_soc_spec(), seed=seed),
-            tiered_server_memory(n_channels=n_channels, seed=seed + 5),
-            name=name)
-        return ComputeNode(name, clock, platform=platform, seed=seed)
-
-    def critical_vm(self, name="vm0"):
-        return VirtualMachine(
-            name=name,
-            workload=spec_workload("mcf", duration_cycles=1e12),
-            criticality_mix={"normal": 0.5, "relaxed": 0.5})
-
-    def test_mixless_vm_scores_neutral(self):
-        from repro.cloudmgr.scheduler import tier_capacity_weigher
+class TestBeliefsNotGroundTruth:
+    def test_decision_follows_the_belief(self):
+        """A node that crashed after its heartbeat is still picked by
+        that heartbeat; the launch then bounces on actuation."""
         clock = SimClock()
-        node = self.make_tiered_node("n0", clock)
-        assert tier_capacity_weigher(node, make_vm(), SILVER) == 0.5
-
-    def test_untiered_node_scores_neutral(self):
-        from repro.cloudmgr.scheduler import tier_capacity_weigher
-        clock = SimClock()
-        node = ComputeNode("n0", clock)  # binary layout, no tier method gap
-        vm = self.critical_vm()
-        score = tier_capacity_weigher(node, vm, SILVER)
-        assert 0.0 <= score <= 1.0
-
-    def test_starved_normal_tier_scores_lower(self):
-        from repro.cloudmgr.scheduler import tier_capacity_weigher
-        clock = SimClock()
-        roomy = self.make_tiered_node("roomy", clock, seed=1)
-        starved = self.make_tiered_node("starved", clock, seed=2)
-        # Exhaust the starved node's normal tier so a criticality-heavy
-        # VM cannot land its critical slice there.
-        normal_mb = (starved.platform.memory
-                     .tier_capacity_gb()["normal"] * 1024.0)
-        starved.hypervisor.placement.place(
-            "squatter", normal_mb - 1.0, placement_class="vm_critical")
-        vm = self.critical_vm()
-        assert (tier_capacity_weigher(starved, vm, SILVER)
-                < tier_capacity_weigher(roomy, vm, SILVER))
-
-    def test_scheduler_prefers_tier_capable_node(self):
-        from repro.cloudmgr.scheduler import TIER_AWARE_WEIGHERS
-        clock = SimClock()
-        roomy = self.make_tiered_node("roomy", clock, seed=1)
-        starved = self.make_tiered_node("starved", clock, seed=2)
-        normal_mb = (starved.platform.memory
-                     .tier_capacity_gb()["normal"] * 1024.0)
-        starved.hypervisor.placement.place(
-            "squatter", normal_mb - 1.0, placement_class="vm_critical")
-        scheduler = FilterScheduler(weighers=TIER_AWARE_WEIGHERS)
-        placement = scheduler.schedule(
-            [starved, roomy], self.critical_vm(), SILVER)
-        assert placement.node == "roomy"
-
-    def test_criticality_mix_validation(self):
-        with pytest.raises(ConfigurationError):
-            VirtualMachine(
-                name="bad",
-                workload=spec_workload("mcf", duration_cycles=1e9),
-                criticality_mix={})
-        with pytest.raises(ConfigurationError):
-            VirtualMachine(
-                name="bad",
-                workload=spec_workload("mcf", duration_cycles=1e9),
-                criticality_mix={"normal": -0.1})
+        nodes = make_nodes(clock, n=2)
+        record_crashes(nodes[1])  # node1's heartbeat reports crashes
+        cloud = CloudController(clock, nodes)  # one heartbeat round
+        nodes[0].hypervisor._crashed = True
+        views = cloud.health.schedulable_views()
+        assert [v.name for v in views] == ["node0", "node1"]
+        placement = FilterScheduler().schedule(views, make_vm(), GOLD)
+        assert placement.node == "node0"
+        with pytest.raises(SchedulingError, match="node0"):
+            cloud.launch(make_vm(), GOLD)
+        assert cloud.stats.launched == 0

@@ -1,10 +1,35 @@
 """Tests for the VM lifecycle."""
 
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.hypervisor.vm import VirtualMachine, VMState, make_vm_fleet
+from repro.hypervisor.vm import (
+    VirtualMachine,
+    VMState,
+    _stable_name_hash,
+    make_vm_fleet,
+)
 from repro.workloads import ldbc_workload, spec_workload
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: Prints one VM's application memory trace total.
+_TRACE_PROBE = """
+from repro.hypervisor.vm import VirtualMachine
+from repro.workloads import ldbc_workload
+vm = VirtualMachine(name="trace-vm0", workload=ldbc_workload())
+print(repr(float(vm.application_memory_mb().sum())))
+"""
+
+#: The probe's output under ``PYTHONHASHSEED=0`` back when trace seeds
+#: came from the built-in ``hash``; every hash seed must reproduce it.
+_PINNED_TRACE_SUM = 57611.7516946727
 
 
 @pytest.fixture
@@ -112,3 +137,30 @@ class TestFleet:
             VirtualMachine(name="", workload=ldbc_workload())
         with pytest.raises(ConfigurationError):
             VirtualMachine(name="x", workload=ldbc_workload(), vcpus=0)
+
+
+class TestStableNameHash:
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_memory_trace_ignores_the_hash_seed(self, hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", _TRACE_PROBE], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=120).stdout
+        assert float(out) == pytest.approx(_PINNED_TRACE_SUM, rel=1e-12)
+
+    def test_pinned_values(self):
+        assert _stable_name_hash("") == 0
+        assert _stable_name_hash("trace-vm0") % 1000 == 322
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info < (3, 11)
+        or os.environ.get("PYTHONHASHSEED") != "0",
+        reason="equals hash() only on CPython >= 3.11 with PYTHONHASHSEED=0")
+    def test_equals_cpython_str_hash(self):
+        rng = random.Random(7)
+        alphabet = "abcxyz-_.0123456789\xe9\u65e5\U0001f642"
+        names = ["".join(rng.choice(alphabet)
+                         for _ in range(rng.randint(1, 40)))
+                 for _ in range(5000)]
+        assert all(_stable_name_hash(name) == hash(name) for name in names)

@@ -19,8 +19,9 @@ mirroring the real daemon's polling loop.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..core.clock import SimClock
 from ..core.events import (
@@ -37,6 +38,11 @@ from ..hardware.faults import FaultClass, FaultLedger, FaultOrigin, FaultRecord
 from ..hardware.platform import ServerPlatform
 from .infovector import InfoVector
 
+#: Logfile lines a HealthLog retains, newest last: enough for a
+#: log-pattern predictor's training and scan windows, and a fixed size
+#: so node state does not grow with campaign length.
+LOGFILE_LINES = 256
+
 
 @dataclass(frozen=True)
 class HealthLogConfig:
@@ -49,8 +55,6 @@ class HealthLogConfig:
     error_threshold: int = 10
     #: Sliding window for the threshold rule (seconds).
     error_window_s: float = 300.0
-    #: Retain at most this many logfile lines (memory bound).
-    logfile_limit: int = 100_000
 
     def __post_init__(self) -> None:
         if self.sampling_period_s <= 0:
@@ -88,7 +92,7 @@ class HealthLog:
                         else MetricsRegistry())
         self.config = config or HealthLogConfig()
         self.ledger = FaultLedger()
-        self._logfile: List[str] = []
+        self._logfile: Deque[str] = deque(maxlen=LOGFILE_LINES)
         self._last_snapshot_counts = {"ce": 0, "ue": 0, "crash": 0}
         self._sensor_cache: Dict[str, float] = {}
         self._counter_cache: Dict[str, float] = {}
@@ -130,7 +134,7 @@ class HealthLog:
         self.metrics.set_gauge("daemons.healthlog.temperature_c",
                                reading.temperature_c)
         self.metrics.observe("daemons.healthlog.power_w", reading.power_w)
-        self._append_log(
+        self._logfile.append(
             f"t={self.clock.now:.3f} sample "
             f"v={reading.voltage_v:.4f} temp={reading.temperature_c:.2f} "
             f"p={reading.power_w:.2f}"
@@ -159,7 +163,8 @@ class HealthLog:
     def load_state_dict(self, state: Dict[str, object]) -> None:
         """Restore the state saved by :meth:`state_dict`."""
         self.ledger.load_state_dict(state["ledger"])  # type: ignore[arg-type]
-        self._logfile = [str(line) for line in state["logfile"]]  # type: ignore[union-attr]
+        self._logfile = deque((str(line) for line in state["logfile"]),  # type: ignore[union-attr]
+                              maxlen=LOGFILE_LINES)
         self._last_snapshot_counts = {
             str(k): int(v) for k, v
             in state["last_snapshot_counts"].items()}  # type: ignore[union-attr]
@@ -178,7 +183,7 @@ class HealthLog:
         self.metrics.inc("daemons.healthlog.events")
         self.metrics.inc(
             f"daemons.healthlog.{fault.fault_class.value}")
-        self._append_log(
+        self._logfile.append(
             f"t={fault.timestamp:.3f} {fault.fault_class.value} "
             f"{fault.component} {fault.detail}"
         )
@@ -283,12 +288,7 @@ class HealthLog:
 
     # -- logfile ---------------------------------------------------------------
 
-    def _append_log(self, line: str) -> None:
-        self._logfile.append(line)
-        if len(self._logfile) > self.config.logfile_limit:
-            del self._logfile[: len(self._logfile) - self.config.logfile_limit]
-
     @property
     def logfile(self) -> List[str]:
-        """The retained logfile lines (most recent last)."""
+        """The newest :data:`LOGFILE_LINES` logfile lines (most recent last)."""
         return list(self._logfile)

@@ -46,9 +46,8 @@ from ..hypervisor.memory import (
     CLASS_HYPERVISOR,
     CLASS_VM_CRITICAL,
     CLASS_VM_DATA,
-    HYPERVISOR_BASE_MB,
-    HYPERVISOR_PER_VM_MB,
     PlacementPolicy,
+    hypervisor_footprint_mb,
 )
 
 #: The A/B arms, in report order.
@@ -153,8 +152,7 @@ def build_arm_node(config: HrmConfig, arm: str,
     placement = PlacementPolicy(memory)
     key = _node_key(config, node)
     placement.place(
-        "hypervisor",
-        HYPERVISOR_BASE_MB + HYPERVISOR_PER_VM_MB * config.vms_per_node,
+        "hypervisor", hypervisor_footprint_mb(config.vms_per_node),
         critical=True, placement_class=CLASS_HYPERVISOR)
     for vm in range(config.vms_per_node):
         u = float(counter_uniform(key, _CH_VM_SIZE, np.uint64(vm)))

@@ -29,11 +29,11 @@ from .memory import (
     FootprintSample,
     HYPERVISOR_BASE_MB,
     HYPERVISOR_PER_VM_MB,
-    MemoryAccountant,
     PLACEMENT_CLASSES,
     PlacementPolicy,
     TIER_SPILL_ORDER,
     TierClassifier,
+    hypervisor_footprint_mb,
 )
 from .objects import (
     CATEGORY_PROFILES,
@@ -67,7 +67,7 @@ __all__ = [
     "Hypervisor", "HypervisorConfig", "HypervisorStats",
     "IsolationAction", "IsolationManager", "IsolationPolicy",
     "Allocation", "FootprintSample", "HYPERVISOR_BASE_MB",
-    "HYPERVISOR_PER_VM_MB", "MemoryAccountant", "PlacementPolicy",
+    "HYPERVISOR_PER_VM_MB", "PlacementPolicy", "hypervisor_footprint_mb",
     "CLASS_APPLICATION", "CLASS_HYPERVISOR", "CLASS_VM_CRITICAL",
     "CLASS_VM_DATA", "DEFAULT_TIER_MAP", "PLACEMENT_CLASSES",
     "TIER_SPILL_ORDER", "TierClassifier",

@@ -38,19 +38,8 @@ from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.runtime import MetricsRegistry, NodeRuntime
 from ..hardware.faults import FaultClass, FaultOrigin, FaultRecord
 from ..hardware.platform import ServerPlatform
-from .memory import (
-    CLASS_VM_CRITICAL,
-    CLASS_VM_DATA,
-    MemoryAccountant,
-    PlacementPolicy,
-)
+from .memory import FootprintSample, PlacementPolicy, hypervisor_footprint_mb
 from .vm import VirtualMachine, VMState
-
-#: With tiered placement on, this fraction of a VM's memory is treated as
-#: VM-critical (page tables, checkpoint images) and steered to the normal
-#: tier, with a floor covering fixed per-VM structures.
-VM_CRITICAL_FRACTION = 0.02
-VM_CRITICAL_MIN_MB = 8.0
 
 
 @dataclass(frozen=True)
@@ -67,10 +56,6 @@ class HypervisorConfig:
     #: Place VMs on cores EOP-aware (affinity planner) instead of
     #: least-loaded: strong cores take the stress-heavy guests.
     use_affinity: bool = False
-    #: Split each VM into a VM-critical slice (page tables, checkpoints →
-    #: normal tier) and tolerant data pages (relaxed tier).  Off by
-    #: default: the binary reliable/relaxed placement stays untouched.
-    tiered_placement: bool = False
     #: Scheduler time slice (seconds of simulated time per tick).
     tick_s: float = 1.0
     #: Fraction of a tick a VM effectively executes (scheduling overhead).
@@ -123,7 +108,6 @@ class Hypervisor:
             platform.memory,
             use_reliable_domain=self.config.use_reliable_domain,
         )
-        self.accountant = MemoryAccountant()
         self.stats = HypervisorStats()
         self._vms: Dict[str, VirtualMachine] = {}
         self._assignments: Dict[str, int] = {}
@@ -143,8 +127,8 @@ class Hypervisor:
         """Bring the hypervisor up: place its own state in memory."""
         if self._booted:
             return
-        footprint = self.accountant.hypervisor_footprint_mb(0)
-        self.placement.place("hypervisor", footprint, critical=True)
+        self.placement.place("hypervisor", hypervisor_footprint_mb(0),
+                             critical=True)
         self._booted = True
 
     def inject_crash(self) -> None:
@@ -233,16 +217,7 @@ class Hypervisor:
         if vm.name in self._vms:
             raise ConfigurationError(f"VM {vm.name!r} already exists")
         total_mb = vm.guest_os_mb + vm.workload.demand.memory_mb
-        if self.config.tiered_placement:
-            critical_mb = min(total_mb / 2.0,
-                              max(VM_CRITICAL_MIN_MB,
-                                  total_mb * VM_CRITICAL_FRACTION))
-            self.placement.place(vm.name, critical_mb,
-                                 placement_class=CLASS_VM_CRITICAL)
-            self.placement.place(vm.name, total_mb - critical_mb,
-                                 placement_class=CLASS_VM_DATA)
-        else:
-            self.placement.place(vm.name, total_mb)
+        self.placement.place(vm.name, total_mb)
         self._vms[vm.name] = vm
         self._assignments[vm.name] = self._pick_core(vm)
         vm.start()
@@ -281,7 +256,6 @@ class Hypervisor:
                     for name, vm in self._vms.items()},
             "assignments": dict(self._assignments),
             "placement": self.placement.state_dict(),
-            "accountant": self.accountant.state_dict(),
             "rng": self._rng.bit_generator.state,
             "crashed": self._crashed,
             "booted": self._booted,
@@ -305,7 +279,6 @@ class Hypervisor:
         self._assignments = {str(k): int(v) for k, v
                              in state["assignments"].items()}  # type: ignore[union-attr]
         self.placement.load_state_dict(state["placement"])  # type: ignore[arg-type]
-        self.accountant.load_state_dict(state["accountant"])  # type: ignore[arg-type]
         self._rng.bit_generator.state = state["rng"]
         self._crashed = bool(state["crashed"])
         self._booted = bool(state["booted"])
@@ -464,9 +437,6 @@ class Hypervisor:
         dt = self.config.tick_s
         self.stats.ticks += 1
         self.metrics.inc("hypervisor.ticks")
-        # Account memory at the slice start, while completed-last-tick VMs
-        # have already been replaced by the management layer.
-        self._sample_memory()
 
         for vm in list(self._vms.values()):
             if vm.state is not VMState.RUNNING:
@@ -530,8 +500,13 @@ class Hypervisor:
         self.metrics.set_gauge("hardware.faults.total",
                                float(len(self.platform.faults)))
 
-    def _sample_memory(self) -> None:
+    def footprint(self) -> FootprintSample:
+        """The hypervisor/VM/application memory split right now (Figure 3)."""
         active = self.active_vms()
-        vm_mb = sum(vm.guest_os_mb for vm in active)
-        app_mb = sum(vm.memory_usage_mb() - vm.guest_os_mb for vm in active)
-        self.accountant.sample(self.clock.now, len(active), vm_mb, app_mb)
+        return FootprintSample(
+            timestamp=self.clock.now,
+            hypervisor_mb=hypervisor_footprint_mb(len(active)),
+            vm_mb=sum(vm.guest_os_mb for vm in active),
+            application_mb=sum(vm.memory_usage_mb() - vm.guest_os_mb
+                               for vm in active),
+        )

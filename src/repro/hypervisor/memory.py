@@ -6,8 +6,8 @@ Two paper results live here:
   total utilized memory while four LDBC VMs run, which "dictates placing
   the whole Hypervisor in a reliable-memory (operated at nominal V-F-R)
   domain can help ensure non-disruptive operation with low cost".
-  :class:`MemoryAccountant` tracks hypervisor/VM/application footprints
-  over time and reports the fraction.
+  :func:`hypervisor_footprint_mb` is the hypervisor's footprint model and
+  :class:`FootprintSample` one instant's hypervisor/VM/application split.
 
 * **Reliable-domain placement** — :class:`PlacementPolicy` allocates the
   hypervisor (and any structures marked critical) into the reliable
@@ -114,72 +114,11 @@ class FootprintSample:
         return self.hypervisor_mb / total if total else 0.0
 
 
-class MemoryAccountant:
-    """Tracks hypervisor/VM/application footprints over a run (Figure 3)."""
-
-    def __init__(self, base_mb: float = HYPERVISOR_BASE_MB,
-                 per_vm_mb: float = HYPERVISOR_PER_VM_MB) -> None:
-        if base_mb < 0 or per_vm_mb < 0:
-            raise ConfigurationError("footprint parameters must be >= 0")
-        self.base_mb = base_mb
-        self.per_vm_mb = per_vm_mb
-        self._samples: List[FootprintSample] = []
-
-    def hypervisor_footprint_mb(self, n_vms: int) -> float:
-        """Hypervisor resident size with ``n_vms`` active VMs."""
-        if n_vms < 0:
-            raise ConfigurationError("n_vms must be non-negative")
-        return self.base_mb + self.per_vm_mb * n_vms
-
-    def sample(self, timestamp: float, n_vms: int, vm_mb: float,
-               application_mb: float) -> FootprintSample:
-        """Record one accounting snapshot."""
-        snap = FootprintSample(
-            timestamp=timestamp,
-            hypervisor_mb=self.hypervisor_footprint_mb(n_vms),
-            vm_mb=vm_mb,
-            application_mb=application_mb,
-        )
-        self._samples.append(snap)
-        return snap
-
-    @property
-    def samples(self) -> List[FootprintSample]:
-        """All recorded snapshots, in order."""
-        return list(self._samples)
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serializable accountant state (all samples, in order)."""
-        return {
-            "samples": [
-                [s.timestamp, s.hypervisor_mb, s.vm_mb, s.application_mb]
-                for s in self._samples
-            ],
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the samples saved by :meth:`state_dict`."""
-        self._samples = [
-            FootprintSample(timestamp=float(row[0]),
-                            hypervisor_mb=float(row[1]),
-                            vm_mb=float(row[2]),
-                            application_mb=float(row[3]))
-            for row in state["samples"]  # type: ignore[union-attr]
-        ]
-
-    def max_hypervisor_fraction(self) -> float:
-        """Peak hypervisor share across the run (paper: always < 7 %)."""
-        if not self._samples:
-            raise ConfigurationError("no samples recorded")
-        return max(s.hypervisor_fraction for s in self._samples)
-
-    def series(self) -> List[Tuple[float, float, float, float, float]]:
-        """(t, hypervisor, vm, app, fraction) rows for rendering Figure 3."""
-        return [
-            (s.timestamp, s.hypervisor_mb, s.vm_mb, s.application_mb,
-             s.hypervisor_fraction)
-            for s in self._samples
-        ]
+def hypervisor_footprint_mb(n_vms: int) -> float:
+    """Hypervisor resident size with ``n_vms`` active VMs."""
+    if n_vms < 0:
+        raise ConfigurationError("n_vms must be non-negative")
+    return HYPERVISOR_BASE_MB + HYPERVISOR_PER_VM_MB * n_vms
 
 
 @dataclass(frozen=True)

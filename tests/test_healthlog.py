@@ -11,7 +11,7 @@ from repro.core.events import (
     SensorEvent,
 )
 from repro.core.exceptions import ConfigurationError
-from repro.daemons.healthlog import HealthLog, HealthLogConfig
+from repro.daemons.healthlog import LOGFILE_LINES, HealthLog, HealthLogConfig
 from repro.hardware import build_uniserver_node
 
 
@@ -129,7 +129,20 @@ class TestConfig:
 
     def test_logfile_is_bounded(self, setup):
         clock, bus, platform, hl = setup
-        hl.config = HealthLogConfig(logfile_limit=10)
-        for i in range(50):
-            push_error(bus, clock, n=1)
-        assert len(hl.logfile) <= 50  # original config object frozen copy
+        for i in range(LOGFILE_LINES + 10):
+            bus.publish(CorrectableErrorEvent(
+                timestamp=clock.now, source="test", component="core0",
+                detail=f"line {i}"))
+        log = hl.logfile
+        assert len(log) == LOGFILE_LINES
+        assert log[0].endswith(" line 10")
+        assert log[-1].endswith(f" line {LOGFILE_LINES + 9}")
+
+    def test_loaded_logfile_keeps_the_newest_lines(self, setup):
+        clock, bus, platform, hl = setup
+        lines = [f"t={i}.000 sample" for i in range(2 * LOGFILE_LINES)]
+        state = hl.state_dict()
+        state["logfile"] = lines
+        hl.load_state_dict(state)
+        assert hl.logfile == lines[LOGFILE_LINES:]
+        assert hl.state_dict()["logfile"] == lines[LOGFILE_LINES:]

@@ -6,17 +6,20 @@ import pytest
 from repro.core.exceptions import ConfigurationError
 from repro.hardware import standard_server_memory
 from repro.hypervisor.memory import (
+    HYPERVISOR_BASE_MB,
+    HYPERVISOR_PER_VM_MB,
     FootprintSample,
-    MemoryAccountant,
     PlacementPolicy,
+    hypervisor_footprint_mb,
 )
 
 
 class TestAccountant:
     def test_footprint_grows_per_vm(self):
-        acc = MemoryAccountant(base_mb=200.0, per_vm_mb=40.0)
-        assert acc.hypervisor_footprint_mb(0) == 200.0
-        assert acc.hypervisor_footprint_mb(4) == 360.0
+        assert hypervisor_footprint_mb(0) == HYPERVISOR_BASE_MB == 200.0
+        assert hypervisor_footprint_mb(4) == 360.0
+        assert (hypervisor_footprint_mb(5) - hypervisor_footprint_mb(4)
+                == HYPERVISOR_PER_VM_MB)
 
     def test_fraction_computation(self):
         sample = FootprintSample(timestamp=0.0, hypervisor_mb=100.0,
@@ -24,30 +27,9 @@ class TestAccountant:
         assert sample.hypervisor_fraction == pytest.approx(0.1)
         assert sample.total_mb == 1000.0
 
-    def test_max_fraction_over_run(self):
-        acc = MemoryAccountant(base_mb=100.0, per_vm_mb=10.0)
-        acc.sample(0.0, 2, vm_mb=600.0, application_mb=1000.0)
-        acc.sample(1.0, 2, vm_mb=600.0, application_mb=200.0)
-        # Second sample has the smaller denominator => larger fraction.
-        assert acc.max_hypervisor_fraction() == pytest.approx(
-            120.0 / 920.0)
-
-    def test_series_rows(self):
-        acc = MemoryAccountant()
-        acc.sample(0.0, 1, 300.0, 500.0)
-        rows = acc.series()
-        assert len(rows) == 1
-        t, hyp, vm, app, frac = rows[0]
-        assert (t, vm, app) == (0.0, 300.0, 500.0)
-        assert frac == pytest.approx(hyp / (hyp + vm + app))
-
-    def test_no_samples_is_an_error(self):
-        with pytest.raises(ConfigurationError):
-            MemoryAccountant().max_hypervisor_fraction()
-
     def test_negative_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
-            MemoryAccountant(base_mb=-1.0)
+            hypervisor_footprint_mb(-1)
 
 
 class TestPlacement:

@@ -20,6 +20,7 @@ from repro.hypervisor import (
     VMState,
     make_vm_fleet,
 )
+from repro.hypervisor.memory import hypervisor_footprint_mb
 from repro.workloads import ldbc_workload, spec_workload
 
 
@@ -211,12 +212,24 @@ class TestExecution:
             hv.tick()
         assert vm.state is VMState.FAILED
 
-    def test_memory_sampled_each_tick(self, hv):
-        for vm in make_vm_fleet(ldbc_workload(), 2):
+    def test_footprint_accounts_active_vms(self, hv):
+        vms = make_vm_fleet(ldbc_workload(), 3)
+        for vm in vms:
             hv.create_vm(vm)
         for _ in range(5):
             hv.tick()
-        assert len(hv.accountant.samples) == 5
+        hv.destroy_vm(vms[0].name)
+        state = json.dumps(hv.state_dict(), sort_keys=True)
+        sample = hv.footprint()
+        active = hv.active_vms()
+        assert len(active) == 2
+        assert sample.timestamp == hv.clock.now
+        assert sample.hypervisor_mb == hypervisor_footprint_mb(len(active))
+        assert sample.vm_mb == sum(vm.guest_os_mb for vm in active)
+        assert sample.application_mb == sum(
+            vm.memory_usage_mb() - vm.guest_os_mb for vm in active)
+        # Answered on demand: asking leaves no trace in the state.
+        assert json.dumps(hv.state_dict(), sort_keys=True) == state
 
 
 def relaxed_hv(interval_s, use_reliable=True, seed=0):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import InvariantViolation, PersistenceError
+from repro.daemons.healthlog import LOGFILE_LINES
 from repro.persistence import (
     CampaignConfig,
     Journal,
@@ -240,6 +241,21 @@ class TestStateRoundTrip:
             campaign.clock.load_state_dict(state)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_state_does_not_grow_with_campaign_length(seed):
+    """A 2 h campaign's state is well under twice its state at 1 h: no
+    per-tick history (footprint rows, logfile lines) accumulates in it."""
+    campaign = PersistentCampaign(CampaignConfig(
+        n_nodes=4, duration_s=7200.0, seed=seed, rate_per_hour=6.0,
+        base_rate_per_hour=12.0))
+    sizes = []
+    for until_s in (3600.0, 7200.0):
+        while campaign.simulation.now < until_s:
+            campaign.step()
+        sizes.append(len(canonical_json(campaign.state_dict())))
+    assert sizes[1] <= 1.6 * sizes[0]
+
+
 # -- disk resume -------------------------------------------------------------
 
 
@@ -316,12 +332,15 @@ class TestDiskResume:
 
     def test_generation_with_older_telemetry_keys_resumes(self, tmp_path):
         """Older versions also saved the controller's telemetry copy, the
-        health and per-VM samples of each believed heartbeat, and per-VM
-        series, EWMA windows and an anomaly log in every node's ring.  A
+        health and per-VM samples of each believed heartbeat, per-VM
+        series, EWMA windows and an anomaly log in every node's ring,
+        each hypervisor's footprint samples and every HealthLog line.  A
         generation still carrying them resumes to the uninterrupted end
         state."""
         reference = PersistentCampaign(CONFIG)
         digest = _run_digest(reference, reference.run())
+        logfiles = [node.healthlog.logfile
+                    for node in reference.cloud.node_list()]
         abandoned = PersistentCampaign(
             CONFIG, snapshot_dir=tmp_path, snapshot_every_s=300.0)
         for _ in range(12):  # generations 0, 5, 10 and two journalled steps
@@ -341,7 +360,13 @@ class TestDiskResume:
             "node_windows": [["node0", "util", window]],
             "anomalies": ["t=600.0 node=node0 metric=power value=4000"],
         }
+        older_lines = [f"t={t}.000 sample v=0.9000 temp=45.00 p=80.00"
+                       for t in range(LOGFILE_LINES)]
         for name, node in cloud["nodes"].items():
+            node["hypervisor"]["accountant"] = {
+                "samples": [[600.0, 280.0, 600.0, 812.5]]}
+            node["healthlog"]["logfile"] = (
+                older_lines + node["healthlog"]["logfile"])
             node["local_telemetry"].update(older_keys)
             samples = node["local_telemetry"]["node_samples"][name]
             last = cloud["health"]["views"][name]["last"]
@@ -355,6 +380,8 @@ class TestDiskResume:
         resumed = PersistentCampaign.resume(tmp_path, snapshot_every_s=300.0)
         assert resumed.step_index == 12
         assert _run_digest(resumed, resumed.run()) == digest
+        assert [node.healthlog.logfile
+                for node in resumed.cloud.node_list()] == logfiles
 
     def test_resume_replays_journal_to_the_crash_step(self, tmp_path):
         campaign = PersistentCampaign(

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
@@ -12,6 +13,7 @@ from repro.hardware import (
     build_uniserver_node,
     intel_i5_4200u_spec,
     intel_i7_3970x_spec,
+    SensorBlock,
     sample_population,
     spec_from_variation,
 )
@@ -87,6 +89,34 @@ class TestChipModel:
         reading = i5_chip.read_sensors(1.0, i5_chip.spec.nominal)
         assert 0.8 < reading.voltage_v < 0.9
         assert reading.power_w > 0
+
+
+class TestSensorBlock:
+    @staticmethod
+    def _batch_reference(seed, n, voltage_v, temperature_c, power_w):
+        """n reads' noise drawn as one ``standard_normal(3n)`` batch in
+        (v, t, p) order, with ``Generator.normal``'s ``loc + scale * z``."""
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(3 * n).tolist()
+        reads = [
+            (voltage_v + (0.0 + 0.002 * z[i]),
+             temperature_c + (0.0 + 0.5 * z[i + 1]),
+             max(0.0, power_w * (1.0 + (0.0 + 0.02 * z[i + 2]))))
+            for i in range(0, 3 * n, 3)]
+        return reads, rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 60])
+    def test_reads_equal_one_batch_draw(self, n, i5_chip):
+        point = i5_chip.spec.nominal
+        block = SensorBlock(seed=9)
+        reads = [block.read(float(t), point, 47.25, 31.5)
+                 for t in range(n)]
+        expected, state = self._batch_reference(
+            9, n, point.voltage_v, 47.25, 31.5)
+        assert [tuple(float.hex(x) for x in (r.voltage_v, r.temperature_c,
+                                             r.power_w)) for r in reads] \
+            == [tuple(float.hex(x) for x in row) for row in expected]
+        assert block.state_dict()["rng"] == state
 
 
 class TestSpecFromVariation:

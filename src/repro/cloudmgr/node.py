@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..core.clock import SimClock
+from ..core.clock import SimClock, step_count
 from ..core.coordinator import UniServerNode
 from ..core.events import EventBus
 from ..core.exceptions import ConfigurationError, IsolationError
@@ -411,7 +411,7 @@ class ComputeNode:
         if self.hypervisor.crashed:
             self._downtime_s += dt_s
             return
-        n_ticks = max(1, int(dt_s / self.hypervisor.config.tick_s))
+        n_ticks = max(1, step_count(dt_s, self.hypervisor.config.tick_s))
         for _ in range(n_ticks):
             if self.hypervisor.crashed:
                 break

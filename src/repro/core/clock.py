@@ -1,9 +1,9 @@
-"""Discrete-event simulation clock.
+"""Simulation clock.
 
 Everything in the simulated ecosystem — daemons sampling sensors, VMs
-executing, refresh timers expiring — shares one time base.  The clock is a
-minimal discrete-event scheduler: callbacks are scheduled at absolute times
-and executed in order when the clock advances.
+executing, refresh timers expiring — shares one time base.  Periodic
+daemons register series on the clock; an advance hands each series all
+of its due instants in one call.
 
 The design intentionally avoids wall-clock time (``time.time``) so that
 simulations are deterministic and fast.
@@ -11,13 +11,12 @@ simulations are deterministic and fast.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .exceptions import ConfigurationError, PersistenceError
 
-Callback = Callable[[], None]
+#: A series callback: receives the tuple of its due instants.
+Callback = Callable[[Tuple[float, ...]], None]
 
 
 def step_count(duration_s: float, dt_s: float,
@@ -41,137 +40,95 @@ def step_count(duration_s: float, dt_s: float,
 
 
 class SimClock:
-    """A deterministic discrete-event simulation clock.
+    """A deterministic simulation clock driving periodic series.
 
-    Time is a float in seconds starting at 0.  Events are ``(time, seq,
-    callback)`` tuples ordered by time then insertion order, so two events at
-    the same instant run in the order they were scheduled.
+    Time is a float in seconds starting at 0.  Each series is
+    ``[next_s, interval_s, callback]``: its instants are one interval
+    after registration and then one interval after the previous instant.
+    An advance visits the series in registration order and hands each
+    one all of its due instants in a single ``callback(instants)`` call,
+    so a series never interleaves with another inside one advance.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[Tuple[float, int, Callback]] = []
-        self._counter = itertools.count()
+        self._series: List[list] = []
 
     @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
 
-    def schedule_at(self, when: float, callback: Callback) -> None:
-        """Schedule ``callback`` to run at absolute time ``when``."""
-        if when < self._now:
-            raise ConfigurationError(
-                f"cannot schedule event in the past ({when} < {self._now})"
-            )
-        heapq.heappush(self._queue, (when, next(self._counter), callback))
+    def schedule_every(self, interval: float, callback: Callback) -> None:
+        """Register a periodic series starting one interval from now.
 
-    def schedule_after(self, delay: float, callback: Callback) -> None:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ConfigurationError("delay must be non-negative")
-        self.schedule_at(self._now + delay, callback)
-
-    def schedule_every(self, interval: float, callback: Callback,
-                       until: Optional[float] = None) -> None:
-        """Schedule a periodic callback starting one interval from now.
-
-        The period ends at ``until`` (absolute time) when given; otherwise it
-        repeats for as long as the simulation is advanced.  Periodic daemons
+        ``callback`` receives the tuple of the series' due instants once
+        per advance that reaches at least one of them.  Periodic daemons
         (HealthLog sampling, StressLog scheduling) use this.
         """
         if interval <= 0:
             raise ConfigurationError("interval must be positive")
+        self._series.append([self._now + interval, interval, callback])
 
-        def tick() -> None:
-            """Run the callback and reschedule the next period."""
-            if until is not None and self._now > until:
-                return
-            callback()
-            if until is None or self._now + interval <= until:
-                self.schedule_after(interval, tick)
+    def advance_to(self, when: float) -> None:
+        """Fire every series' instants up to and including ``when``.
 
-        self.schedule_after(interval, tick)
-
-    def pending(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)
-
-    def advance_to(self, when: float) -> int:
-        """Run all events up to and including time ``when``.
-
-        Returns the number of callbacks executed.  The clock ends exactly at
-        ``when`` even if no event fires there.
+        While a series' callback runs, :attr:`now` reads its last due
+        instant.  The clock ends exactly at ``when`` even if nothing
+        fires there.
         """
         if when < self._now:
             raise ConfigurationError("cannot advance the clock backwards")
-        executed = 0
-        while self._queue and self._queue[0][0] <= when:
-            event_time, _, callback = heapq.heappop(self._queue)
-            self._now = event_time
-            callback()
-            executed += 1
+        for series in self._series:
+            due = series[0]
+            if due > when:
+                continue
+            interval = series[1]
+            instants = []
+            while due <= when:
+                instants.append(due)
+                due += interval
+            series[0] = due
+            self._now = instants[-1]
+            series[2](tuple(instants))
         self._now = when
-        return executed
 
-    def advance_by(self, delta: float) -> int:
-        """Run all events within the next ``delta`` seconds."""
-        return self.advance_to(self._now + delta)
+    def advance_by(self, delta: float) -> None:
+        """Fire every series' instants within the next ``delta`` seconds."""
+        self.advance_to(self._now + delta)
 
     # -- persistence -------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Serializable clock state: current time and pending event times.
+        """Serializable clock state: current time and next instants.
 
         Callbacks are closures and cannot be serialized; a restore target
         must therefore be a freshly built twin of the saved simulation,
-        holding the *same* pending callbacks in the same scheduling order.
-        Only the event times (and the clock reading) are persisted.
+        holding the *same* series in the same registration order.  Only
+        the series' next instants (sorted) and the clock reading are
+        persisted.
         """
         return {
             "now": self._now,
-            "pending": [t for t, _, _ in sorted(self._queue,
-                                                key=lambda e: (e[0], e[1]))],
+            "pending": sorted(series[0] for series in self._series),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore clock time and re-time pending events.
+        """Restore clock time and re-time the series.
 
-        The queued callbacks of this (freshly rebuilt) clock are kept and
-        re-scheduled positionally at the saved event times.  The number of
-        pending events must match the snapshot — a mismatch means the
-        restore target was not built from the same configuration.
+        The series of this (freshly rebuilt) clock are kept and re-timed
+        by position: ordered by next instant, then registration order,
+        the k-th takes the k-th saved instant.  The number of series must
+        match the snapshot — a mismatch means the restore target was not
+        built from the same configuration.
         """
         pending = list(state["pending"])  # type: ignore[arg-type]
-        if len(pending) != len(self._queue):
+        if len(pending) != len(self._series):
             raise PersistenceError(
                 f"clock restore mismatch: snapshot has {len(pending)} "
-                f"pending events, rebuilt clock has {len(self._queue)}")
-        callbacks = [cb for _, _, cb in sorted(self._queue,
-                                               key=lambda e: (e[0], e[1]))]
+                f"pending series, rebuilt clock has {len(self._series)}")
+        order = sorted(range(len(self._series)),
+                       key=lambda i: (self._series[i][0], i))
+        for i, when in zip(order, pending):
+            self._series[i][0] = float(when)
         self._now = float(state["now"])  # type: ignore[arg-type]
-        self._queue = []
-        self._counter = itertools.count()
-        for when, callback in zip(pending, callbacks):
-            heapq.heappush(self._queue,
-                           (float(when), next(self._counter), callback))
-
-    def run_until_idle(self, max_events: int = 1_000_000) -> int:
-        """Run queued events until the queue drains.
-
-        ``max_events`` bounds runaway periodic schedules; exceeding it raises
-        :class:`ConfigurationError` because an unbounded periodic callback in
-        ``run_until_idle`` is always a caller bug.
-        """
-        executed = 0
-        while self._queue:
-            if executed >= max_events:
-                raise ConfigurationError(
-                    f"run_until_idle exceeded {max_events} events; "
-                    "did you schedule an unbounded periodic callback?"
-                )
-            event_time, _, callback = heapq.heappop(self._queue)
-            self._now = event_time
-            callback()
-            executed += 1
-        return executed

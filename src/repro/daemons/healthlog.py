@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.clock import SimClock
 from ..core.events import (
@@ -117,28 +117,37 @@ class HealthLog:
         self._started = True
         self.clock.schedule_every(self.config.sampling_period_s, self._sample)
 
-    def _sample(self) -> None:
-        """One periodic sampling tick: read chip sensors into the cache."""
+    def _sample(self, instants: Tuple[float, ...]) -> None:
+        """The periodic sampling ticks due in one clock advance: read chip
+        sensors once per instant into the cache, histogram and logfile.
+
+        Nothing else runs inside an advance, so every instant reads the
+        same core point and true chip state; only the noise differs.
+        """
+        n = len(instants)
         if self.stalled:
-            self.metrics.inc("resilience.healthlog.stalled_ticks")
+            self.metrics.inc("resilience.healthlog.stalled_ticks", n)
             return
-        self._last_refresh_s = self.clock.now
-        point = self.platform.core_point(0)
-        reading = self.platform.chip.read_sensors(self.clock.now, point)
+        reads = self.platform.chip.read_sensors_many(
+            n, self.platform.core_point(0))
+        power = self.metrics.histogram("daemons.healthlog.power_w")
+        logfile = self._logfile
+        for when, (voltage_v, temperature_c, power_w) in zip(instants, reads):
+            power.observe(power_w)
+            logfile.append(
+                f"t={when:.3f} sample "
+                f"v={voltage_v:.4f} temp={temperature_c:.2f} "
+                f"p={power_w:.2f}"
+            )
+        self._last_refresh_s = instants[-1]
         self._sensor_cache = {
-            "voltage_v": reading.voltage_v,
-            "temperature_c": reading.temperature_c,
-            "power_w": reading.power_w,
+            "voltage_v": voltage_v,
+            "temperature_c": temperature_c,
+            "power_w": power_w,
         }
-        self.metrics.inc("daemons.healthlog.samples")
+        self.metrics.inc("daemons.healthlog.samples", n)
         self.metrics.set_gauge("daemons.healthlog.temperature_c",
-                               reading.temperature_c)
-        self.metrics.observe("daemons.healthlog.power_w", reading.power_w)
-        self._logfile.append(
-            f"t={self.clock.now:.3f} sample "
-            f"v={reading.voltage_v:.4f} temp={reading.temperature_c:.2f} "
-            f"p={reading.power_w:.2f}"
-        )
+                               temperature_c)
 
     # -- persistence -----------------------------------------------------------
 

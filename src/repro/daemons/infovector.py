@@ -45,22 +45,6 @@ class InfoVector:
     #: Components currently above the error threshold.
     suspect_components: Tuple[str, ...] = ()
 
-    def to_log_line(self) -> str:
-        """Serialise to the one-line logfile format HealthLog appends."""
-        parts = [
-            f"t={self.timestamp:.3f}",
-            f"node={self.node}",
-            f"ce={self.correctable_errors}",
-            f"ue={self.uncorrectable_errors}",
-            f"crash={self.crashes}",
-        ]
-        parts.extend(f"cfg.{k}={v}" for k, v in sorted(self.configuration.items()))
-        parts.extend(f"sen.{k}={v:.4g}" for k, v in sorted(self.sensors.items()))
-        parts.extend(f"ctr.{k}={v:.4g}" for k, v in sorted(self.counters.items()))
-        if self.suspect_components:
-            parts.append("suspect=" + ",".join(self.suspect_components))
-        return " ".join(parts)
-
     @property
     def total_errors(self) -> int:
         """Correctable plus uncorrectable plus crashes."""

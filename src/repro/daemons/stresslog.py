@@ -20,7 +20,7 @@ with a pattern test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..core.clock import SimClock
 from ..core.eop import (
@@ -131,9 +131,14 @@ class StressLog:
         """Periodic re-characterisation (the paper's 2–3 month cadence)."""
         if period_s <= 0:
             raise ConfigurationError("period must be positive")
-        self.clock.schedule_every(
-            period_s, lambda: self.characterize(trigger="periodic")
-        )
+
+        def characterize_each(instants: Tuple[float, ...]) -> None:
+            """One characterisation per due instant; the clock reads the
+            last one, so all of one advance's share its timestamp."""
+            for _ in instants:
+                self.characterize(trigger="periodic")
+
+        self.clock.schedule_every(period_s, characterize_each)
 
     # -- core characterisation ----------------------------------------------------
 

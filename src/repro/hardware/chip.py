@@ -176,15 +176,30 @@ class ChipModel:
         self.sensors.load_state_dict(state["sensors"])
         self.thermal.load_state_dict(state["thermal"])
 
-    def read_sensors(self, timestamp: float, point: OperatingPoint,
-                     activity: float = 0.5) -> SensorReadings:
-        """Snapshot the chip's sensors at an operating point."""
-        power_w = self.power.total_power_w(
+    def _true_power_w(self, point: OperatingPoint, activity: float) -> float:
+        """Noise-free chip power at an operating point and temperature."""
+        return self.power.total_power_w(
             point, activity=activity,
             temperature_c=self.thermal.temperature_c,
         )
+
+    def read_sensors(self, timestamp: float, point: OperatingPoint,
+                     activity: float = 0.5) -> SensorReadings:
+        """Snapshot the chip's sensors at an operating point."""
         return self.sensors.read(
-            timestamp, point, self.thermal.temperature_c, power_w
+            timestamp, point, self.thermal.temperature_c,
+            self._true_power_w(point, activity),
+        )
+
+    def read_sensors_many(self, n: int, point: OperatingPoint,
+                          activity: float = 0.5,
+                          ) -> List[Tuple[float, float, float]]:
+        """``n`` consecutive ``(voltage_v, temperature_c, power_w)`` reads
+        of the chip in its current state (see
+        :meth:`SensorBlock.read_many`)."""
+        return self.sensors.read_many(
+            n, point.voltage_v, self.thermal.temperature_c,
+            self._true_power_w(point, activity),
         )
 
 

@@ -9,6 +9,7 @@ power, plus per-run performance-counter snapshots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -65,16 +66,36 @@ class SensorBlock:
     def read(self, timestamp: float, point: OperatingPoint,
              true_temperature_c: float, true_power_w: float) -> SensorReadings:
         """Take one noisy snapshot of the component state."""
+        (voltage_v, temperature_c, power_w), = self.read_many(
+            1, point.voltage_v, true_temperature_c, true_power_w)
         return SensorReadings(
-            timestamp=timestamp,
-            voltage_v=point.voltage_v
-            + self._rng.normal(0.0, self._voltage_noise_v),
-            temperature_c=true_temperature_c
-            + self._rng.normal(0.0, self._temperature_noise_c),
-            power_w=max(0.0, true_power_w * (
-                1.0 + self._rng.normal(0.0, self._power_noise_fraction))),
+            timestamp=timestamp, voltage_v=voltage_v,
+            temperature_c=temperature_c, power_w=power_w,
             frequency_hz=point.frequency_hz,
         )
+
+    def read_many(self, n: int, true_voltage_v: float,
+                  true_temperature_c: float, true_power_w: float,
+                  ) -> List[Tuple[float, float, float]]:
+        """``n`` noisy ``(voltage_v, temperature_c, power_w)`` reads of one
+        component state, in read order.
+
+        The noise is one ``standard_normal(3 n)`` draw in (v, t, p) order.
+        Each value keeps ``Generator.normal``'s ``loc + scale * z`` with
+        ``loc = 0.0``, so a batch equals ``3 n`` scalar
+        ``normal(0.0, sigma)`` draws bit for bit and leaves the generator
+        in the same state.
+        """
+        z = self._rng.standard_normal(3 * n).tolist()
+        sigma_v = self._voltage_noise_v
+        sigma_t = self._temperature_noise_c
+        sigma_p = self._power_noise_fraction
+        return [
+            (true_voltage_v + (0.0 + sigma_v * z[i]),
+             true_temperature_c + (0.0 + sigma_t * z[i + 1]),
+             max(0.0, true_power_w * (1.0 + (0.0 + sigma_p * z[i + 2]))))
+            for i in range(0, 3 * n, 3)
+        ]
 
     def state_dict(self) -> dict:
         """Serializable mutable state (the noise RNG)."""

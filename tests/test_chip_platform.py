@@ -93,30 +93,44 @@ class TestChipModel:
 
 class TestSensorBlock:
     @staticmethod
-    def _batch_reference(seed, n, voltage_v, temperature_c, power_w):
-        """n reads' noise drawn as one ``standard_normal(3n)`` batch in
-        (v, t, p) order, with ``Generator.normal``'s ``loc + scale * z``."""
+    def _scalar_reference(seed, n, voltage_v, temperature_c, power_w):
+        """n reads drawn one ``Generator.normal`` call per value, in
+        (v, t, p) order: the arithmetic of one read at a time."""
         rng = np.random.default_rng(seed)
-        z = rng.standard_normal(3 * n).tolist()
-        reads = [
-            (voltage_v + (0.0 + 0.002 * z[i]),
-             temperature_c + (0.0 + 0.5 * z[i + 1]),
-             max(0.0, power_w * (1.0 + (0.0 + 0.02 * z[i + 2]))))
-            for i in range(0, 3 * n, 3)]
+        reads = []
+        for _ in range(n):
+            v = voltage_v + rng.normal(0.0, 0.002)
+            t = temperature_c + rng.normal(0.0, 0.5)
+            p = max(0.0, power_w * (1.0 + rng.normal(0.0, 0.02)))
+            reads.append((v, t, p))
         return reads, rng.bit_generator.state
 
+    @staticmethod
+    def _hex(rows):
+        return [tuple(float.hex(x) for x in row) for row in rows]
+
     @pytest.mark.parametrize("n", [1, 2, 60])
-    def test_reads_equal_one_batch_draw(self, n, i5_chip):
+    def test_batch_equals_single_reads(self, n, i5_chip):
         point = i5_chip.spec.nominal
-        block = SensorBlock(seed=9)
-        reads = [block.read(float(t), point, 47.25, 31.5)
+        batch_block, read_block = SensorBlock(seed=9), SensorBlock(seed=9)
+        batch = batch_block.read_many(n, point.voltage_v, 47.25, 31.5)
+        reads = [read_block.read(float(t), point, 47.25, 31.5)
                  for t in range(n)]
-        expected, state = self._batch_reference(
+        expected, state = self._scalar_reference(
             9, n, point.voltage_v, 47.25, 31.5)
-        assert [tuple(float.hex(x) for x in (r.voltage_v, r.temperature_c,
-                                             r.power_w)) for r in reads] \
-            == [tuple(float.hex(x) for x in row) for row in expected]
-        assert block.state_dict()["rng"] == state
+        assert self._hex(batch) == self._hex(expected)
+        assert self._hex((r.voltage_v, r.temperature_c, r.power_w)
+                         for r in reads) == self._hex(expected)
+        assert batch_block.state_dict()["rng"] == state
+        assert read_block.state_dict()["rng"] == state
+
+    def test_chip_batch_reads_the_current_state(self, i5_chip):
+        point = i5_chip.spec.nominal
+        twin = ChipModel(intel_i5_4200u_spec(), seed=11)
+        batch = i5_chip.read_sensors_many(3, point)
+        reads = [twin.read_sensors(float(t), point) for t in range(3)]
+        assert batch == [(r.voltage_v, r.temperature_c, r.power_w)
+                         for r in reads]
 
 
 class TestSpecFromVariation:

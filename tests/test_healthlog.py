@@ -165,14 +165,6 @@ class TestSnapshots:
         push_error(bus, clock, component="core5", n=4)
         assert "core5" in hl.snapshot().suspect_components
 
-    def test_log_line_format(self, setup):
-        clock, bus, platform, hl = setup
-        push_error(bus, clock, n=1)
-        line = hl.snapshot().to_log_line()
-        assert line.startswith("t=")
-        assert "ce=1" in line
-        assert "cfg.core0=" in line
-
 
 class TestConfig:
     def test_bad_config_rejected(self):

@@ -11,6 +11,7 @@ from repro.hardware.faults import (
     FaultOrigin,
     FaultRecord,
 )
+from repro.hypervisor.hypervisor import HypervisorConfig
 from repro.hypervisor.vm import VirtualMachine
 from repro.workloads import spec_workload
 
@@ -29,6 +30,14 @@ class TestComputeNode:
         node.hypervisor.create_vm(vm)
         assert node.used_vcpus() == 2
         assert node.free_vcpus() == total - 2
+
+    @pytest.mark.parametrize("dt_s, ticks", [(0.3, 3), (0.7, 7)])
+    def test_step_runs_every_tick_that_fits(self, dt_s, ticks):
+        # 0.3 / 0.1 and 0.7 / 0.1 land one ulp below 3 and 7.
+        node = ComputeNode("n0", SimClock(), seed=4,
+                           hypervisor_config=HypervisorConfig(tick_s=0.1))
+        node.step(dt_s)
+        assert node.runtime.metrics.counter("hypervisor.ticks") == ticks
 
     def test_memory_accounting(self, node):
         before = node.free_memory_mb()

@@ -198,32 +198,50 @@ class TestScrubbingProperties:
 
 
 class TestClockProperties:
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0),
-                    min_size=1, max_size=20))
+    @given(st.lists(st.floats(min_value=0.1, max_value=10.0),
+                    min_size=1, max_size=5),
+           st.lists(st.floats(min_value=0.0, max_value=20.0),
+                    min_size=1, max_size=10))
     @settings(max_examples=60)
-    def test_events_fire_in_time_order(self, times):
+    def test_events_fire_in_time_order(self, intervals, chunks):
         clock = SimClock()
-        fired = []
-        for t in times:
-            clock.schedule_at(t, lambda t=t: fired.append(t))
-        clock.run_until_idle()
-        assert fired == sorted(fired)
-        assert len(fired) == len(times)
+        fired = [[] for _ in intervals]
+
+        def record(series, instants):
+            assert clock.now == instants[-1]
+            fired[series].append(instants)
+
+        for i, interval in enumerate(intervals):
+            clock.schedule_every(
+                interval, lambda instants, i=i: record(i, instants))
+        for c in chunks:
+            before = clock.now
+            calls = [len(f) for f in fired]
+            clock.advance_by(c)
+            for f, n in zip(fired, calls):
+                for instants in f[n:]:
+                    assert before < instants[0]
+                    assert list(instants) == sorted(set(instants))
+                    assert instants[-1] <= clock.now
+        for f in fired:
+            flat = [t for instants in f for t in instants]
+            assert flat == sorted(set(flat))
 
     @given(st.lists(st.floats(min_value=0.1, max_value=10.0),
                     min_size=1, max_size=10))
     @settings(max_examples=40)
     def test_advancing_in_chunks_equals_one_jump(self, chunks):
         total = sum(chunks)
+        intervals = (0.5, 1.7, 3.3)
         chunked = SimClock()
-        fired_chunked = []
+        fired_chunked = {interval: [] for interval in intervals}
         jump = SimClock()
-        fired_jump = []
-        for t in (0.5, 1.7, 3.3, 8.0):
-            if t <= total:
-                chunked.schedule_at(t, lambda t=t: fired_chunked.append(t))
-                jump.schedule_at(t, lambda t=t: fired_jump.append(t))
+        fired_jump = {interval: [] for interval in intervals}
+        for interval in intervals:
+            chunked.schedule_every(interval, fired_chunked[interval].extend)
+            jump.schedule_every(interval, fired_jump[interval].extend)
         for c in chunks:
             chunked.advance_by(c)
         jump.advance_to(total)
         assert fired_chunked == fired_jump
+        assert chunked.state_dict() == jump.state_dict()

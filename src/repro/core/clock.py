@@ -127,8 +127,8 @@ class SimClock:
             raise PersistenceError(
                 f"clock restore mismatch: snapshot has {len(pending)} "
                 f"pending series, rebuilt clock has {len(self._series)}")
-        order = sorted(range(len(self._series)),
-                       key=lambda i: (self._series[i][0], i))
-        for i, when in zip(order, pending):
-            self._series[i][0] = float(when)
+        # sorted() is stable: series due together keep registration order.
+        by_next = sorted(self._series, key=lambda series: series[0])
+        for series, when in zip(by_next, pending):
+            series[0] = float(when)
         self._now = float(state["now"])  # type: ignore[arg-type]

@@ -14,7 +14,8 @@ Paper Section 3.C.  The HealthLog monitor provides two service classes:
   the current :class:`~repro.daemons.infovector.InfoVector` snapshot.
 
 The daemon also samples sensors periodically on the simulation clock,
-mirroring the real daemon's polling loop.
+mirroring the real daemon's polling loop; the samples due in one clock
+advance are read as one batch.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class HealthLog:
         """Serializable daemon state.
 
         ``_started`` is not saved: the periodic sampling callback lives in
-        the clock queue, which a restore target re-creates by calling
+        a clock series, which a restore target re-creates by calling
         :meth:`start` during rebuild.
         """
         return {

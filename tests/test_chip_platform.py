@@ -9,11 +9,11 @@ from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
 from repro.core.exceptions import ConfigurationError
 from repro.hardware import (
     ChipModel,
+    SensorBlock,
     arm_server_soc_spec,
     build_uniserver_node,
     intel_i5_4200u_spec,
     intel_i7_3970x_spec,
-    SensorBlock,
     sample_population,
     spec_from_variation,
 )

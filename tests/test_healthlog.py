@@ -99,10 +99,11 @@ class TestSamplingBits:
     """What the sampler writes, pinned bit for bit."""
 
     #: sha256 of the sampler's end state in a 3-node, 30-minute chaos
-    #: campaign (seed 0): every HealthLog's state, every sensor RNG and
-    #: every node's metrics registry.
-    GOLDEN = ("2cce58718718d326bf00c3e21e8fc359"
-              "b87dc181bd0e6d7a78a81fb4788651a1")
+    #: campaign (seed 0): every HealthLog's state (bar a logfile copy,
+    #: which older states kept), every sensor RNG and every node's
+    #: metrics registry.
+    GOLDEN = ("7854b9f0f694f5fc2ef2a79089b2c132"
+              "4ed59982e9b7a813b3be5297103232d0")
 
     def test_campaign_sampler_state_is_pinned(self):
         campaign = PersistentCampaign(CampaignConfig(
@@ -111,7 +112,10 @@ class TestSamplingBits:
         payload = {
             "nodes": {
                 node.name: {
-                    "healthlog": node.healthlog.state_dict(),
+                    "healthlog": {
+                        key: value for key, value
+                        in node.healthlog.state_dict().items()
+                        if key != "logfile"},
                     "sensors": node.platform.chip.sensors.state_dict(),
                 }
                 for node in campaign.cloud.node_list()},

@@ -53,11 +53,6 @@ class RefreshStepResult:
         return self.observed_errors == 0
 
     @property
-    def within_commercial_target(self) -> bool:
-        """BER at/below the commercial DRAM target."""
-        return self.cumulative_ber <= COMMERCIAL_DRAM_BER_TARGET
-
-    @property
     def within_secded_capability(self) -> bool:
         """BER at/below the SECDED 1e-6 capability."""
         return self.cumulative_ber <= SECDED_BER_CAPABILITY

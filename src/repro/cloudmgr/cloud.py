@@ -155,9 +155,6 @@ class CloudController:
                 chaos.migration_should_fail(
                     source, destination, self.clock.now))
         self.stats = ControllerStats()
-        #: Every placement decision, in order — the scheduling trace that
-        #: the determinism tests compare bit-for-bit across runs.
-        self.placement_log: List[Placement] = []
         self._vm_homes: Dict[str, str] = {}
         self._down_since: Dict[str, float] = {}
         self._next_recovery_at: Dict[str, float] = {}
@@ -192,7 +189,6 @@ class CloudController:
             "tracker": self.tracker.state_dict(),
             "migrations": self.migrations.state_dict(),
             "stats": asdict(self.stats),
-            "placement_log": [asdict(p) for p in self.placement_log],
             "vm_homes": dict(self._vm_homes),
             "down_since": dict(self._down_since),
             "next_recovery_at": dict(self._next_recovery_at),
@@ -211,7 +207,8 @@ class CloudController:
         """Restore the controller saved by :meth:`state_dict`.
 
         ``vm_factory`` rebuilds named VM shells for the per-node
-        hypervisor restores.
+        hypervisor restores.  The placement list that older states
+        carry is not read.
         """
         for name, node_state in state["nodes"].items():  # type: ignore[union-attr]
             self.nodes[str(name)].load_state_dict(node_state, vm_factory)
@@ -227,8 +224,6 @@ class CloudController:
         stats["repair_times_s"] = [float(t)
                                    for t in stats["repair_times_s"]]
         self.stats = ControllerStats(**stats)
-        self.placement_log = [Placement(**p)
-                              for p in state["placement_log"]]  # type: ignore[union-attr]
         self._vm_homes = {str(k): str(v) for k, v
                           in state["vm_homes"].items()}  # type: ignore[union-attr]
         self._down_since = {str(k): float(v) for k, v
@@ -280,7 +275,6 @@ class CloudController:
         self.tracker.register(vm.name, sla)
         self._vm_homes[vm.name] = placement.node
         self.stats.launched += 1
-        self.placement_log.append(placement)
         node.runtime.metrics.inc("cloudmgr.scheduler.placements")
         return placement
 
@@ -409,7 +403,7 @@ class CloudController:
         restoring service instead of riding further recovery attempts.
         """
         for vm in list(source.hypervisor.vms):
-            if vm.name not in self.tracker.tracked_vms():
+            if not self.tracker.tracks(vm.name):
                 continue
             sla = self.tracker.sla_for(vm.name)
             # A node still on post-recovery probation is unproven — do
@@ -525,13 +519,13 @@ class CloudController:
         for node in self.node_list():
             if node.hypervisor.crashed:
                 for vm in node.hypervisor.vms:
-                    if vm.name not in self.tracker.tracked_vms():
+                    if not self.tracker.tracks(vm.name):
                         continue
                     self.tracker.account(vm.name, dt_s, up=False)
                     self._vm_down_since.setdefault(vm.name, now)
                 continue
             for vm in node.hypervisor.vms:
-                if vm.name not in self.tracker.tracked_vms():
+                if not self.tracker.tracks(vm.name):
                     continue
                 if vm.state is VMState.COMPLETED:
                     # A finished VM is a success, not downtime.

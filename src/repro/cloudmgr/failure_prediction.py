@@ -305,7 +305,7 @@ class ThresholdFailurePredictor:
         """
         features = node_features(node, telemetry)
         terms = _hazard_terms(features)
-        risk = min(1.0, sum(term for _, term in terms))
+        risk = min(1.0, sum((term for _, term in terms), 0.0))
         contributors = tuple(
             name for name, _ in
             sorted(terms, key=lambda t: (-t[1], t[0]))[:2])

@@ -207,7 +207,3 @@ class MigrationManager:
             return 1.0
         return sum(1 for r in self.records if r.succeeded) \
             / len(self.records)
-
-    def total_downtime_s(self) -> float:
-        """Summed migration blackout time (seconds)."""
-        return sum(r.downtime_s for r in self.records)

@@ -154,6 +154,7 @@ class TraceDrivenSimulation:
                 self.stats.terminated += 1
                 continue
             node.hypervisor.destroy_vm(vm_name)
+            node.qos.unregister(vm_name)
             self.cloud.forget_vm(vm_name)
             self.stats.terminated += 1
 

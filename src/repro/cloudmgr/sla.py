@@ -156,6 +156,10 @@ class SLATracker:
         """Count one migration against a VM's record."""
         self.record(vm_name).migrations += 1
 
+    def tracks(self, vm_name: str) -> bool:
+        """Whether a VM is tracked."""
+        return vm_name in self._records
+
     def tracked_vms(self) -> List[str]:
         """Names of all tracked VMs, sorted."""
         return sorted(self._records)

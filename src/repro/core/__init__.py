@@ -34,10 +34,7 @@ from .exceptions import (
     OperatingPointError,
     PredictionError,
     SchedulingError,
-    SilentDataCorruption,
-    SLAViolation,
     StressTestError,
-    UncorrectableError,
     UniServerError,
 )
 from .lifetime import (
@@ -77,6 +74,5 @@ __all__ = [
     "CheckpointError", "ConfigurationError", "HardwareFault",
     "IsolationError", "MachineCrash", "MigrationError",
     "OperatingPointError", "PredictionError", "SchedulingError",
-    "SilentDataCorruption", "SLAViolation", "StressTestError",
-    "UncorrectableError", "UniServerError",
+    "StressTestError", "UniServerError",
 ]

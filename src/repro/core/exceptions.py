@@ -38,33 +38,12 @@ class MachineCrash(HardwareFault):
     """
 
 
-class UncorrectableError(HardwareFault):
-    """An uncorrectable (detected, unrecoverable) hardware error occurred."""
-
-
-class SilentDataCorruption(HardwareFault):
-    """A silent data corruption escaped all detection mechanisms.
-
-    SDCs are the fault class injected into hypervisor objects in the
-    paper's Figure 4 campaign.
-    """
-
-
 class IsolationError(UniServerError):
     """A resource could not be isolated (e.g. the last remaining core)."""
 
 
 class SchedulingError(UniServerError):
     """The resource manager could not place a VM."""
-
-
-class SLAViolation(UniServerError):
-    """A service-level agreement was violated."""
-
-    def __init__(self, message: str, vm_name: str = "", metric: str = ""):
-        super().__init__(message)
-        self.vm_name = vm_name
-        self.metric = metric
 
 
 class MigrationError(UniServerError):

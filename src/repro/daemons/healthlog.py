@@ -4,7 +4,7 @@ Paper Section 3.C.  The HealthLog monitor provides two service classes:
 
 * **Event-driven**: it subscribes to hardware error events (correctable,
   uncorrectable, crashes) and sensor anomalies on the node's event bus,
-  appending everything to its ledger and logfile.  When the error count of
+  recording every error in its fault ledger.  When the error count of
   a component rises above a threshold within a sliding window, it raises
   an :class:`~repro.core.events.AnomalyEvent` — the trigger that spawns an
   on-demand StressLog cycle (Section 3: "If the number of errors rises
@@ -20,9 +20,8 @@ advance are read as one batch.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.clock import SimClock
 from ..core.events import (
@@ -39,9 +38,8 @@ from ..hardware.faults import FaultClass, FaultLedger, FaultOrigin, FaultRecord
 from ..hardware.platform import ServerPlatform
 from .infovector import InfoVector
 
-#: Logfile lines a HealthLog retains, newest last: enough for a
-#: log-pattern predictor's training and scan windows, and a fixed size
-#: so node state does not grow with campaign length.
+#: Ledger events the logfile view renders, newest last: enough for a
+#: log-pattern predictor's training and scan windows.
 LOGFILE_LINES = 256
 
 
@@ -93,7 +91,6 @@ class HealthLog:
                         else MetricsRegistry())
         self.config = config or HealthLogConfig()
         self.ledger = FaultLedger()
-        self._logfile: Deque[str] = deque(maxlen=LOGFILE_LINES)
         self._last_snapshot_counts = {"ce": 0, "ue": 0, "crash": 0}
         self._sensor_cache: Dict[str, float] = {}
         self._counter_cache: Dict[str, float] = {}
@@ -120,7 +117,7 @@ class HealthLog:
 
     def _sample(self, instants: Tuple[float, ...]) -> None:
         """The periodic sampling ticks due in one clock advance: read chip
-        sensors once per instant into the cache, histogram and logfile.
+        sensors once per instant into the cache and power histogram.
 
         Nothing else runs inside an advance, so every instant reads the
         same core point and true chip state; only the noise differs.
@@ -132,14 +129,9 @@ class HealthLog:
         reads = self.platform.chip.read_sensors_many(
             n, self.platform.core_point(0))
         power = self.metrics.histogram("daemons.healthlog.power_w")
-        logfile = self._logfile
-        for when, (voltage_v, temperature_c, power_w) in zip(instants, reads):
+        for _, _, power_w in reads:
             power.observe(power_w)
-            logfile.append(
-                f"t={when:.3f} sample "
-                f"v={voltage_v:.4f} temp={temperature_c:.2f} "
-                f"p={power_w:.2f}"
-            )
+        voltage_v, temperature_c, power_w = reads[-1]
         self._last_refresh_s = instants[-1]
         self._sensor_cache = {
             "voltage_v": voltage_v,
@@ -161,7 +153,6 @@ class HealthLog:
         """
         return {
             "ledger": self.ledger.state_dict(),
-            "logfile": list(self._logfile),
             "last_snapshot_counts": dict(self._last_snapshot_counts),
             "sensor_cache": dict(self._sensor_cache),
             "counter_cache": dict(self._counter_cache),
@@ -171,10 +162,11 @@ class HealthLog:
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore the state saved by :meth:`state_dict`."""
+        """Restore the state saved by :meth:`state_dict`.
+
+        An older state's ``"logfile"`` copy of the ledger is not read.
+        """
         self.ledger.load_state_dict(state["ledger"])  # type: ignore[arg-type]
-        self._logfile = deque((str(line) for line in state["logfile"]),  # type: ignore[union-attr]
-                              maxlen=LOGFILE_LINES)
         self._last_snapshot_counts = {
             str(k): int(v) for k, v
             in state["last_snapshot_counts"].items()}  # type: ignore[union-attr]
@@ -193,10 +185,6 @@ class HealthLog:
         self.metrics.inc("daemons.healthlog.events")
         self.metrics.inc(
             f"daemons.healthlog.{fault.fault_class.value}")
-        self._logfile.append(
-            f"t={fault.timestamp:.3f} {fault.fault_class.value} "
-            f"{fault.component} {fault.detail}"
-        )
         self._check_threshold(fault.component, fault.timestamp)
 
     def _on_correctable(self, event: CorrectableErrorEvent) -> None:
@@ -300,5 +288,8 @@ class HealthLog:
 
     @property
     def logfile(self) -> List[str]:
-        """The newest :data:`LOGFILE_LINES` logfile lines (most recent last)."""
-        return list(self._logfile)
+        """The newest :data:`LOGFILE_LINES` ledger events as logfile
+        lines, most recent last."""
+        return [f"t={r.timestamp:.3f} {r.fault_class.value} "
+                f"{r.component} {r.detail}"
+                for r in self.ledger.records[-LOGFILE_LINES:]]

@@ -45,11 +45,6 @@ class InfoVector:
     #: Components currently above the error threshold.
     suspect_components: Tuple[str, ...] = ()
 
-    @property
-    def total_errors(self) -> int:
-        """Correctable plus uncorrectable plus crashes."""
-        return self.correctable_errors + self.uncorrectable_errors + self.crashes
-
 
 @dataclass(frozen=True)
 class ComponentMargin:
@@ -89,13 +84,6 @@ class MarginVector:
     def component_names(self) -> List[str]:
         """Components covered by this margin vector."""
         return [m.component for m in self.margins]
-
-    def margin_for(self, component: str) -> ComponentMargin:
-        """The margin entry for one component."""
-        for m in self.margins:
-            if m.component == component:
-                return m
-        raise KeyError(f"no margin for component {component!r}")
 
     def mean_power_saving(self) -> float:
         """Mean fractional power saving over all characterised components."""

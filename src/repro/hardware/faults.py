@@ -48,10 +48,6 @@ class FaultRecord:
     operating_point: str = ""
     detail: str = ""
 
-    def is_fatal(self) -> bool:
-        """Whether this fault terminated execution."""
-        return self.fault_class is FaultClass.CRASH
-
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict form for snapshots."""
         return {
@@ -110,20 +106,9 @@ class FaultLedger:
             and r.timestamp >= since
         )
 
-    def counts_by_component(self) -> Dict[str, int]:
-        """Total fault count per component."""
-        return dict(Counter(r.component for r in self._records))
-
     def counts_by_class(self) -> Dict[FaultClass, int]:
         """Total fault count per fault class."""
         return dict(Counter(r.fault_class for r in self._records))
-
-    def error_rate(self, window_s: float, now: float) -> float:
-        """Faults per second over the trailing window ending at ``now``."""
-        if window_s <= 0:
-            return 0.0
-        recent = self.count(since=now - window_s)
-        return recent / window_s
 
     def components_above_threshold(self, threshold: int,
                                    since: float = float("-inf"),

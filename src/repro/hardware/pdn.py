@@ -51,11 +51,6 @@ class PdnParameters:
         """sqrt(L/C) of the PDN tank."""
         return math.sqrt(self.inductance_h / self.capacitance_f)
 
-    @property
-    def quality_factor(self) -> float:
-        """Resonance sharpness: Z0 over R."""
-        return self.characteristic_impedance_ohm / self.resistance_ohm
-
     def impedance_ohm(self, frequency_hz: float) -> float:
         """|Z(f)| the die sees: series (R + jwL) in parallel with the decap.
 

@@ -10,7 +10,6 @@ from .checkpoint import CheckpointCostModel, CheckpointManager, CheckpointStats
 from .fault_injection import (
     FaultInjectionCampaign,
     Figure4Result,
-    InjectionOutcome,
     InjectionReport,
     LoadComparisonRow,
     TierExposure,
@@ -61,8 +60,7 @@ __all__ = [
     "QoSGuard", "QoSRequirement", "QoSViolation", "requirement_from_sla",
     "AffinityAssignment", "AffinityPlanner", "naive_balanced_plan",
     "CheckpointCostModel", "CheckpointManager", "CheckpointStats",
-    "FaultInjectionCampaign", "Figure4Result", "InjectionOutcome",
-    "InjectionReport", "LoadComparisonRow", "TierExposure",
+    "FaultInjectionCampaign", "Figure4Result", "InjectionReport", "LoadComparisonRow", "TierExposure",
     "run_figure4_campaign", "tier_exposure_report",
     "Hypervisor", "HypervisorConfig", "HypervisorStats",
     "IsolationAction", "IsolationManager", "IsolationPolicy",

@@ -72,10 +72,6 @@ class CheckpointManager:
         """Categories currently under checkpoint, sorted."""
         return sorted(self._protected)
 
-    def is_protected(self, object_id: int) -> bool:
-        """Whether an object belongs to a protected category."""
-        return self.catalog.get(object_id).category in self._protected
-
     def protected_bytes(self) -> int:
         """Total size of all protected objects."""
         return sum(

@@ -18,7 +18,6 @@ resilience ablation measure how much selective protection buys.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -30,14 +29,6 @@ from .objects import ObjectCatalog
 
 #: 64-bit data words per megabyte, for exposure arithmetic.
 WORDS_PER_MB = 1024 * 1024 // 8
-
-
-class InjectionOutcome(Enum):
-    """What one injected SDC did to the hypervisor."""
-
-    MASKED = "masked"          # never consumed, or object non-crucial
-    RECOVERED = "recovered"    # consumed, but restored from checkpoint
-    FATAL = "fatal"            # hypervisor became non-responsive
 
 
 @dataclass

@@ -62,11 +62,6 @@ class IsolationManager:
         self._isolated_domains: Set[str] = set()
 
     @property
-    def isolated_cores(self) -> List[int]:
-        """Core ids currently fenced off."""
-        return [c.core_id for c in self.platform.chip.cores if c.isolated]
-
-    @property
     def isolated_domains(self) -> List[str]:
         """Memory domains currently fenced, sorted."""
         return sorted(self._isolated_domains)
@@ -145,7 +140,3 @@ class IsolationManager:
     def release_core(self, core_id: int) -> None:
         """Return a fenced core to service (after re-characterisation)."""
         self.platform.chip.core(core_id).deisolate()
-
-    def release_domain(self, domain_name: str) -> None:
-        """Allow a fenced domain to be relaxed again."""
-        self._isolated_domains.discard(domain_name)

@@ -52,7 +52,6 @@ from .viruses import (
     CPU_POWER_VIRUS,
     DRAM_HAMMER_VIRUS,
     DROOP_RESONANCE_VIRUS,
-    combined_stress_suite,
     virus_suite,
 )
 from .traces import (
@@ -84,6 +83,5 @@ __all__ = [
     "RANDOM", "TestPattern", "generate_pattern_data", "pattern_by_name",
     "SPEC_NAMES", "spec_suite", "spec_workload",
     "ALL_VIRUSES", "CACHE_THRASH_VIRUS", "CPU_POWER_VIRUS",
-    "DRAM_HAMMER_VIRUS", "DROOP_RESONANCE_VIRUS", "combined_stress_suite",
-    "virus_suite",
+    "DRAM_HAMMER_VIRUS", "DROOP_RESONANCE_VIRUS", "virus_suite",
 ]

@@ -169,10 +169,6 @@ class GAResult:
         """The champion genome wrapped as a workload."""
         return genome_to_workload(self.best_genome, name=name)
 
-    def best_profile(self) -> StressProfile:
-        """The champion genome's stress profile."""
-        return genome_to_profile(self.best_genome)
-
 
 class VirusEvolver:
     """Evolves stress-virus genomes against a fitness function."""

@@ -69,11 +69,6 @@ class SocialGraph:
         """Total posts across all persons."""
         return sum(len(p) for p in self.posts.values())
 
-    def estimated_size_mb(self) -> float:
-        """Rough in-memory size of the database (vertices/edges/posts)."""
-        return (self.n_persons * 0.4 + self.n_friendships * 0.1
-                + self.n_posts * 0.008) / 1024.0 * 1024.0 / 1024.0 * 1024
-
 
 def generate_social_graph(scale_factor: float = 1.0,
                           seed: int = 0) -> SocialGraph:

@@ -13,8 +13,6 @@ Three classic hand-coded kernels are modelled; the GA of
 
 from __future__ import annotations
 
-from typing import List
-
 from .base import ResourceDemand, StressProfile, Workload, WorkloadSuite
 
 #: Power virus: saturates every execution port — maximum activity and
@@ -78,10 +76,3 @@ ALL_VIRUSES = (
 def virus_suite() -> WorkloadSuite:
     """The hand-coded stress-virus suite used as the StressLog default."""
     return WorkloadSuite("hand_coded_viruses", list(ALL_VIRUSES))
-
-
-def combined_stress_suite(extra: List[Workload] = ()) -> WorkloadSuite:
-    """Viruses plus any extra kernels (e.g. GA-evolved champions)."""
-    return WorkloadSuite(
-        "stresslog_suite", list(ALL_VIRUSES) + list(extra)
-    )

@@ -2,12 +2,13 @@
 
 The whole point of routing every stochastic component through
 ``NodeRuntime`` seed families is that one experiment seed pins down the
-entire cross-layer trace — placements, migrations, SLA accounting and
-the metrics snapshot.  These tests run the full trace-driven cloud
+entire cross-layer trace — the rack's end state, migrations, SLA
+accounting and the metrics snapshot.  These tests run the full trace-driven cloud
 simulation twice per seed and compare the traces exactly.
 """
 
 from repro.cloudmgr import run_rack_experiment
+from repro.persistence import canonical_json
 
 DURATION_S = 1800.0
 N_NODES = 3
@@ -18,8 +19,7 @@ def _trace(seed):
         n_nodes=N_NODES, duration_s=DURATION_S, seed=seed)
     cloud = experiment.cloud
     return {
-        "placements": [(p.vm_name, p.node)
-                       for p in cloud.placement_log],
+        "state": canonical_json(cloud.state_dict()),
         "migrations": [(r.vm_name, r.source, r.destination, r.proactive)
                        for r in cloud.migrations.records],
         "stats": (experiment.stats.arrivals, experiment.stats.admitted,
@@ -34,7 +34,7 @@ class TestDeterminism:
     def test_same_seed_is_bit_identical(self):
         first = _trace(seed=11)
         second = _trace(seed=11)
-        assert first["placements"] == second["placements"]
+        assert first["state"] == second["state"]
         assert first["migrations"] == second["migrations"]
         assert first["stats"] == second["stats"]
         assert first["availability"] == second["availability"]

@@ -83,7 +83,8 @@ class TestPeriodicSampling:
         clock, bus, platform, hl = setup
         hl.start()
         clock.advance_by(5.0)
-        assert any("sample" in line for line in hl.logfile)
+        assert hl.metrics.counter("daemons.healthlog.samples") == 5
+        assert hl.metrics.histogram("daemons.healthlog.power_w").count == 5
         assert "voltage_v" in hl.snapshot().sensors
 
     def test_start_is_idempotent(self, setup):
@@ -91,8 +92,9 @@ class TestPeriodicSampling:
         hl.start()
         hl.start()
         clock.advance_by(3.0)
-        samples = [l for l in hl.logfile if "sample" in l]
-        assert len(samples) == 3  # one per second, not doubled
+        # One sample per second, not doubled.
+        assert hl.metrics.counter("daemons.healthlog.samples") == 3
+        assert hl.metrics.histogram("daemons.healthlog.power_w").count == 3
 
 
 class TestSamplingBits:
@@ -144,7 +146,8 @@ class TestSamplingBits:
         for a, b in zip(jump, chunked):
             assert (canonical_json(a.state_dict())
                     == canonical_json(b.state_dict()))
-            assert a.healthlog.logfile[-1].startswith("t=180.000 sample")
+            assert a.healthlog.info_vector_age_s() == 0.0
+            assert a.healthlog.metrics.counter("daemons.healthlog.samples") == 180
 
 
 class TestSnapshots:
@@ -189,10 +192,30 @@ class TestConfig:
         assert log[-1].endswith(f" line {LOGFILE_LINES + 9}")
 
     def test_loaded_logfile_keeps_the_newest_lines(self, setup):
+        """An older state's logfile copy loads; the view still renders
+        the ledger."""
         clock, bus, platform, hl = setup
-        lines = [f"t={i}.000 sample" for i in range(2 * LOGFILE_LINES)]
+        push_error(bus, clock, n=2)
+        expected = hl.logfile
         state = hl.state_dict()
-        state["logfile"] = lines
+        state["logfile"] = [f"t={i}.000 sample"
+                            for i in range(2 * LOGFILE_LINES)]
         hl.load_state_dict(state)
-        assert hl.logfile == lines[LOGFILE_LINES:]
-        assert hl.state_dict()["logfile"] == lines[LOGFILE_LINES:]
+        assert hl.logfile == expected
+        assert "logfile" not in hl.state_dict()
+
+    def test_logfile_renders_the_newest_ledger_events(self, setup):
+        clock, bus, platform, hl = setup
+        hl.start()
+        for i in range(LOGFILE_LINES + 10):
+            clock.advance_by(0.5)
+            push_error(bus, clock, component=f"core{i % 4}")
+        bus.publish(CrashEvent(timestamp=clock.now, source="hw",
+                               component="core3", operating_point="0.8 V"))
+        rendered = [f"t={r.timestamp:.3f} {r.fault_class.value} "
+                    f"{r.component} {r.detail}"
+                    for r in hl.ledger.records[-LOGFILE_LINES:]]
+        assert hl.logfile == rendered
+        assert rendered[-1] == f"t={clock.now:.3f} crash core3 "
+        clock.advance_by(10.0)
+        assert hl.logfile == rendered

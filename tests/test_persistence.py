@@ -330,13 +330,36 @@ class TestDiskResume:
                 directory, snapshot_every_s=300.0, keep=10)
             assert _run_digest(resumed, resumed.run()) == digest
 
+    def test_resumed_run_writes_the_uninterrupted_generations(
+            self, tmp_path):
+        """Resume is exact down to the bytes: every snapshot and journal
+        generation written after a resume equals the uninterrupted
+        run's."""
+        full = tmp_path / "full"
+        PersistentCampaign(CONFIG, snapshot_dir=full,
+                           snapshot_every_s=300.0, keep=10).run()
+        generations = SnapshotStore(full, keep=10).generations()
+        assert generations == [0, 5, 10, 15, 20, 25, 30]
+        resumed_dir = tmp_path / "resumed"
+        shutil.copytree(full, resumed_dir)
+        store = SnapshotStore(resumed_dir, keep=10)
+        for step in (20, 25, 30):
+            store.snapshot_path(step).unlink()
+            store.journal_path(step).unlink(missing_ok=True)
+        PersistentCampaign.resume(
+            resumed_dir, snapshot_every_s=300.0, keep=10).run()
+        assert store.generations() == generations
+        for path in sorted(full.iterdir()):
+            assert (resumed_dir / path.name).read_bytes() \
+                == path.read_bytes(), path.name
+
     def test_generation_with_older_telemetry_keys_resumes(self, tmp_path):
         """Older versions also saved the controller's telemetry copy, the
         health and per-VM samples of each believed heartbeat, per-VM
         series, EWMA windows and an anomaly log in every node's ring,
-        each hypervisor's footprint samples and every HealthLog line.  A
-        generation still carrying them resumes to the uninterrupted end
-        state."""
+        each hypervisor's footprint samples, a HealthLog logfile and the
+        controller's placement log.  A generation still carrying them
+        resumes to the uninterrupted end state."""
         reference = PersistentCampaign(CONFIG)
         digest = _run_digest(reference, reference.run())
         logfiles = [node.healthlog.logfile
@@ -365,13 +388,14 @@ class TestDiskResume:
         for name, node in cloud["nodes"].items():
             node["hypervisor"]["accountant"] = {
                 "samples": [[600.0, 280.0, 600.0, 812.5]]}
-            node["healthlog"]["logfile"] = (
-                older_lines + node["healthlog"]["logfile"])
+            node["healthlog"]["logfile"] = older_lines
             node["local_telemetry"].update(older_keys)
             samples = node["local_telemetry"]["node_samples"][name]
             last = cloud["health"]["views"][name]["last"]
             if last is not None:
                 last.update(sample=samples[-1], vm_samples=[vm_sample])
+        cloud["placement_log"] = [
+            {"vm_name": "trace-vm0", "node": "node0", "score": 0.5}]
         cloud["telemetry"] = {
             "node_samples": {name: node["local_telemetry"]["node_samples"][name]
                              for name, node in cloud["nodes"].items()},

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.cloudmgr import CloudController, ComputeNode
-from repro.cloudmgr.simulation import TIER_MAP, TraceDrivenSimulation
+from repro.cloudmgr.simulation import (
+    TIER_MAP,
+    TraceDrivenSimulation,
+    build_rack_simulation,
+)
 from repro.core.clock import SimClock
 from repro.core.exceptions import ConfigurationError
 from repro.workloads.traces import TraceConfig, TraceGenerator
@@ -84,6 +88,20 @@ class TestSimulation:
         simulation = TraceDrivenSimulation(make_cloud(), [])
         with pytest.raises(ConfigurationError):
             simulation.run(0.0)
+
+
+class TestDepartures:
+    def test_departed_vms_leave_no_qos_requirement(self):
+        """A trace departure unregisters the VM's QoS requirement, as a
+        completion, failover or migration does: every requirement a node
+        keeps names a VM on that node."""
+        simulation = build_rack_simulation(
+            n_nodes=4, duration_s=7200.0, seed=0, base_rate_per_hour=120.0)
+        stats = simulation.run(7200.0)
+        assert stats.terminated > 0
+        for node in simulation.cloud.node_list():
+            required = set(node.qos.state_dict()["requirements"])
+            assert required <= {vm.name for vm in node.hypervisor.vms}
 
 
 class TestDepartureHeap:

@@ -32,6 +32,12 @@ class TestTracker:
         record = tracker.record("vm0")
         assert record.availability == pytest.approx(0.99)
 
+    def test_tracks_registered_vms_only(self):
+        tracker = SLATracker()
+        tracker.register("vm0", SILVER)
+        assert tracker.tracks("vm0")
+        assert not tracker.tracks("vm1")
+
     def test_duplicate_registration_rejected(self):
         tracker = SLATracker()
         tracker.register("vm0", SILVER)

@@ -34,16 +34,27 @@ Quickstart::
     print(node.energy_report().saving_fraction)
 """
 
-from .core import (
-    EnergyReport,
-    EOPTable,
-    GuardBandBreakdown,
-    OperatingPoint,
-    SimClock,
-    UniServerNode,
-)
+import importlib
+from typing import TYPE_CHECKING
+
+from .core import EOPTable, GuardBandBreakdown, OperatingPoint, SimClock
+
+if TYPE_CHECKING:
+    from .core import EnergyReport, UniServerNode
 
 __version__ = "1.0.0"
+
+#: Names imported on first use: they load the hardware stack and scipy,
+#: which ``import repro.fleet`` never needs.
+_LAZY = {"EnergyReport": ".core", "UniServerNode": ".core"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "EnergyReport", "EOPTable", "GuardBandBreakdown", "OperatingPoint",

@@ -411,11 +411,8 @@ class ComputeNode:
         if self.hypervisor.crashed:
             self._downtime_s += dt_s
             return
-        n_ticks = max(1, step_count(dt_s, self.hypervisor.config.tick_s))
-        for _ in range(n_ticks):
-            if self.hypervisor.crashed:
-                break
-            self.hypervisor.tick()
+        self.hypervisor.run_ticks(
+            max(1, step_count(dt_s, self.hypervisor.config.tick_s)))
         self._since_review += dt_s
         if self._since_review >= self.isolation_review_every_s:
             self._review_isolation()

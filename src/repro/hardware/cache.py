@@ -126,6 +126,22 @@ class CacheModel:
             if raw else 0
         return CacheRunResult(correctable=raw - double, uncorrectable=double)
 
+    def raw_error_counts(self, expected: np.ndarray,
+                         n_rounds: int) -> np.ndarray:
+        """Raw error counts of ``n_rounds`` rounds of runs, one run per
+        expected count in ``expected``, as an ``(n_rounds, len(expected))``
+        array.
+
+        While every count is 0 the stream advances exactly as that many
+        :meth:`run` calls, round by round, would: a non-zero count marks
+        where :meth:`run` would go on to split off double-bit errors.
+        Without ECC reporting nothing is drawn and every count is 0.
+        """
+        shape = (n_rounds, len(expected))
+        if not self.params.ecc_reporting:
+            return np.zeros(shape, dtype=np.int64)
+        return self._rng.poisson(expected, size=shape)
+
     def state_dict(self) -> dict:
         """Serializable mutable state (the sampling RNG)."""
         return {"rng": self._rng.bit_generator.state}

@@ -16,13 +16,16 @@ Paper Section 4.A.  The hypervisor (KVM-like, symmetric) is the layer that
 The execution model is tick-based on the simulation clock: each tick runs
 every active VM for a time slice on its assigned core at that core's
 operating point, samples crash/ECC/DRAM-retention faults from the
-hardware models, and applies the masking policy.
+hardware models, and applies the masking policy.  A node step runs its
+quiet ticks in bulk (:meth:`Hypervisor.run_ticks`) and each tick that
+holds a fault event through :meth:`Hypervisor.tick`, bit for bit as
+one ``tick`` call per tick would.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +41,8 @@ from ..core.exceptions import ConfigurationError, SchedulingError
 from ..core.runtime import MetricsRegistry, NodeRuntime
 from ..hardware.faults import FaultClass, FaultOrigin, FaultRecord
 from ..hardware.platform import ServerPlatform
+from ..workloads.base import StressProfile
+from ..workloads.phases import PhasedWorkload
 from .memory import FootprintSample, PlacementPolicy, hypervisor_footprint_mb
 from .vm import VirtualMachine, VMState
 
@@ -81,6 +86,18 @@ class HypervisorStats:
     host_crashes: int = 0
     margin_applications: int = 0
     energy_j: float = 0.0
+
+
+class _VMTerms(NamedTuple):
+    """What one tick of a running VM risks, does and costs on its core."""
+
+    core_id: int
+    point: OperatingPoint
+    profile: StressProfile
+    crash_p: float
+    crash_v: float
+    cycles: float
+    energy_j: float
 
 
 class Hypervisor:
@@ -428,6 +445,35 @@ class Hypervisor:
                 ))
                 return
 
+    def _vm_terms(self, vm: VirtualMachine) -> _VMTerms:
+        """A running VM's per-tick terms on its assigned core."""
+        dt = self.config.tick_s
+        core_id = self._assignments[vm.name]
+        core = self.platform.chip.core(core_id)
+        point = self.platform.core_point(core_id)
+        # Phase-aware: a guest entering a droop-heavy phase becomes
+        # riskier mid-run (stationary workloads return their single
+        # profile).
+        profile = vm.workload.profile_at(vm.progress)
+        return _VMTerms(
+            core_id=core_id, point=point, profile=profile,
+            crash_p=core.crash_probability(point, profile),
+            crash_v=core.crash_voltage_v(profile, point.frequency_hz),
+            cycles=dt * point.frequency_hz * self.config.efficiency,
+            energy_j=self.platform.chip.power.total_power_w(
+                point, activity=profile.activity_factor,
+                temperature_c=self.platform.chip.thermal.temperature_c,
+            ) * dt,
+        )
+
+    def _set_gauges(self) -> None:
+        """Publish the hypervisor's point-in-time gauges."""
+        self.metrics.set_gauge("hypervisor.energy_j", self.stats.energy_j)
+        self.metrics.set_gauge("hypervisor.active_vms",
+                               float(len(self.active_vms())))
+        self.metrics.set_gauge("hardware.faults.total",
+                               float(len(self.platform.faults)))
+
     def tick(self) -> None:
         """Advance the machine by one scheduler tick."""
         if not self._booted:
@@ -441,20 +487,11 @@ class Hypervisor:
         for vm in list(self._vms.values()):
             if vm.state is not VMState.RUNNING:
                 continue
-            core_id = self._assignments[vm.name]
-            core = self.platform.chip.core(core_id)
-            if core.isolated:
-                core_id = self._pick_core(vm)
-                self._assignments[vm.name] = core_id
-                core = self.platform.chip.core(core_id)
-            point = self.platform.core_point(core_id)
-            # Phase-aware: a guest entering a droop-heavy phase becomes
-            # riskier mid-run (stationary workloads return their single
-            # profile).
-            profile = vm.workload.profile_at(vm.progress)
-
-            crash_p = core.crash_probability(point, profile)
-            if self._rng.random() < crash_p:
+            if self.platform.chip.core(self._assignments[vm.name]).isolated:
+                self._assignments[vm.name] = self._pick_core(vm)
+            terms = self._vm_terms(vm)
+            core_id = terms.core_id
+            if self._rng.random() < terms.crash_p:
                 # The core glitched under this VM's stress: kill and mask.
                 vm.fail()
                 self.stats.vm_crashes_masked += 1
@@ -464,15 +501,14 @@ class Hypervisor:
                 self.bus.publish(CrashEvent(
                     timestamp=self.clock.now, source="hypervisor",
                     component=f"core{core_id}",
-                    operating_point=point.describe(),
+                    operating_point=terms.point.describe(),
                 ))
                 if self.config.restart_failed_vms:
                     vm.restart()
                 continue
 
-            crash_v = core.crash_voltage_v(profile, point.frequency_hz)
             cache_result = self.platform.chip.cache.run(
-                point.voltage_v, crash_v, profile)
+                terms.point.voltage_v, terms.crash_v, terms.profile)
             if cache_result.correctable:
                 self.stats.correctable_errors += cache_result.correctable
                 self.metrics.inc("hypervisor.correctable_errors",
@@ -486,19 +522,124 @@ class Hypervisor:
                     detail=f"{cache_result.correctable} SECDED corrections",
                 ))
 
-            cycles = dt * point.frequency_hz * self.config.efficiency
-            vm.execute(cycles)
-            self.stats.energy_j += self.platform.chip.power.total_power_w(
-                point, activity=profile.activity_factor,
-                temperature_c=self.platform.chip.thermal.temperature_c,
-            ) * dt
+            vm.execute(terms.cycles)
+            self.stats.energy_j += terms.energy_j
 
         self._handle_dram_errors(dt)
-        self.metrics.set_gauge("hypervisor.energy_j", self.stats.energy_j)
-        self.metrics.set_gauge("hypervisor.active_vms",
-                               float(len(self.active_vms())))
-        self.metrics.set_gauge("hardware.faults.total",
-                               float(len(self.platform.faults)))
+        self._set_gauges()
+
+    def run_ticks(self, n_ticks: int) -> None:
+        """Advance by ``n_ticks`` scheduler ticks, stopping at a host crash.
+
+        Every bit as ``n_ticks`` calls of :meth:`tick` would leave it.
+        Until a fault event fires, nothing a tick reads can change, so
+        quiet ticks run in bulk (:meth:`_run_quiet`) and the first tick
+        that holds an event runs through :meth:`tick`.  Ticks with a
+        running VM on an isolated core (:meth:`tick` re-picks its core)
+        or with a phased workload (its profile moves with progress) run
+        through :meth:`tick` too.
+        """
+        if not self._booted:
+            raise ConfigurationError("boot the hypervisor first")
+        left = n_ticks
+        while left > 0 and not self._crashed:
+            running = [vm for vm in self._vms.values()
+                       if vm.state is VMState.RUNNING]
+            if any(isinstance(vm.workload, PhasedWorkload)
+                   or self.platform.chip.core(
+                       self._assignments[vm.name]).isolated
+                   for vm in running):
+                self.tick()
+                left -= 1
+            else:
+                left -= self._run_quiet(running, left)
+
+    def _run_quiet(self, running: List[VirtualMachine], n_ticks: int) -> int:
+        """Run up to ``n_ticks`` ticks of the ``running`` VMs in bulk;
+        returns how many ran.
+
+        Each VM's terms are computed once, and the ticks' variates are
+        drawn as arrays in the order :meth:`tick` draws them.  The bulk
+        ends with the first tick in which a VM completes.  Every tick
+        before the first one that holds an event (a crash, a raw cache
+        error or a retention error) is committed; at that event tick both
+        streams are rewound, exactly the quiet ticks are redrawn, and the
+        event tick runs through :meth:`tick`.
+        """
+        dt = self.config.tick_s
+        cache = self.platform.chip.cache
+        terms = [self._vm_terms(vm) for vm in running]
+        crash_p = np.array([t.crash_p for t in terms])
+        expected = np.array([
+            cache.expected_errors(t.point.voltage_v, t.crash_v, t.profile)
+            for t in terms])
+        # poisson(0.0) draws nothing, so error-free domains drop out.
+        rates = [rate for rate in (
+            self._domain_error_rate_per_s(domain) * dt
+            for domain in self.platform.memory.relaxed_domains())
+            if rate > 0]
+        # Executed cycles after each tick, summed in tick order as
+        # ``VirtualMachine.execute`` sums them.
+        progress = np.add.accumulate(np.vstack((
+            [vm.executed_cycles for vm in running],
+            np.tile([t.cycles for t in terms], (n_ticks, 1)))), axis=0)
+        completes = (progress[1:]
+                     >= [vm.total_cycles for vm in running]).any(axis=1)
+        if completes.any():
+            n_ticks = int(completes.argmax()) + 1
+
+        rng_state = self._rng.bit_generator.state
+        cache_state = cache.state_dict()
+        events = self._draw_ticks(n_ticks, crash_p, expected, rates)
+        quiet = int(events.argmax()) if events.any() else n_ticks
+        if quiet < n_ticks:
+            self._rng.bit_generator.state = rng_state
+            cache.load_state_dict(cache_state)
+            self._draw_ticks(quiet, crash_p, expected, rates)
+        if quiet:
+            for i, vm in enumerate(running):
+                # The last quiet tick runs through ``execute``, which
+                # completes the VM when its work is done.
+                vm.executed_cycles = float(progress[quiet - 1, i])
+                vm.execute(terms[i].cycles)
+            # Energy adds up per (tick, VM), tick-major, as in ``tick``.
+            self.stats.energy_j = float(np.add.accumulate(np.concatenate((
+                [self.stats.energy_j],
+                np.tile([t.energy_j for t in terms], quiet))))[-1])
+            self.stats.ticks += quiet
+            self.metrics.inc("hypervisor.ticks", quiet)
+            self._set_gauges()
+        if quiet < n_ticks:
+            self.tick()
+            return quiet + 1
+        return n_ticks
+
+    def _draw_ticks(self, n_ticks: int, crash_p: np.ndarray,
+                    expected: np.ndarray,
+                    rates: Sequence[float]) -> np.ndarray:
+        """Draw ``n_ticks`` ticks' variates as :meth:`tick` draws them in
+        quiet ticks; True where a tick holds an event.
+
+        Per tick, the hypervisor stream draws one uniform per running VM
+        (its crash test), then one Poisson count per relaxed domain; the
+        cache stream draws one raw error count per VM.
+        """
+        n_vms = len(crash_p)
+        if not rates:
+            events = (self._rng.random((n_ticks, n_vms))
+                      < crash_p).any(axis=1)
+        elif not n_vms:
+            events = self._rng.poisson(
+                rates, size=(n_ticks, len(rates))).any(axis=1)
+        else:
+            events = np.zeros(n_ticks, dtype=bool)
+            for row in range(n_ticks):
+                crashes = self._rng.random(n_vms) < crash_p
+                errors = self._rng.poisson(rates)
+                events[row] = crashes.any() or errors.any()
+        cache_errors = self.platform.chip.cache.raw_error_counts(
+            expected, n_ticks)
+        return events | cache_errors.any(axis=1)
 
     def footprint(self) -> FootprintSample:
         """The hypervisor/VM/application memory split right now (Figure 3)."""

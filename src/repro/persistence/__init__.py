@@ -6,8 +6,10 @@ step journal (:class:`Journal`), cross-layer invariant auditing
 (:class:`PersistentCampaign`).  See ``docs/persistence.md``.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from .auditor import StateAuditor
-from .campaign import CampaignConfig, PersistentCampaign
 from .snapshot import (
     SNAPSHOT_VERSION,
     Journal,
@@ -18,6 +20,21 @@ from .snapshot import (
     verify_shard_entries,
     write_canonical,
 )
+
+if TYPE_CHECKING:
+    from .campaign import CampaignConfig, PersistentCampaign
+
+#: Names imported on first use: the campaign runtime loads the rack's
+#: object stack, which the vector fleet's snapshots never need.
+_LAZY = {"CampaignConfig": ".campaign", "PersistentCampaign": ".campaign"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_LAZY[name], __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "SNAPSHOT_VERSION",

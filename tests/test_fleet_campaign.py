@@ -1,5 +1,11 @@
 """Tests for the vectorized fleet campaign and its executors."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.exceptions import ConfigurationError, PersistenceError
@@ -10,6 +16,35 @@ from repro.fleet import (
     run_fleet_campaign,
 )
 from repro.persistence.snapshot import canonical_json
+
+
+_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+#: Run in a fresh interpreter: import the fleet, list the rack-stack and
+#: scipy modules that loaded, then resolve the names exported lazily.
+_IMPORT_PROBE = """
+import json, sys
+import repro.fleet
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m.startswith(("repro.hardware", "repro.hypervisor",
+                                 "repro.daemons", "repro.cloudmgr")))
+import repro, repro.core, repro.persistence
+print(json.dumps({"loaded": loaded, "names": [
+    repro.UniServerNode.__name__, repro.core.LifetimeSimulator.__name__,
+    repro.persistence.PersistentCampaign.__name__]}))
+"""
+
+
+def test_fleet_imports_without_the_object_stack():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    probe = json.loads(out)
+    assert probe["loaded"] == []
+    assert probe["names"] == ["UniServerNode", "LifetimeSimulator",
+                              "PersistentCampaign"]
 
 
 def small_config(**overrides):

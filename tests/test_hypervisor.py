@@ -1,19 +1,24 @@
 """Tests for the hypervisor engine."""
 
+import dataclasses
 import functools
 import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloudmgr.simulation import run_rack_experiment
 from repro.core.clock import SimClock
 from repro.core.eop import NOMINAL_REFRESH_INTERVAL_S
-from repro.core.events import CrashEvent
+from repro.core.events import CrashEvent, Event
 from repro.core.exceptions import ConfigurationError
 from repro.daemons.infovector import ComponentMargin, MarginVector
 from repro.eop import EOPGovernor
 from repro.hardware import build_uniserver_node
+from repro.hardware.cache import CacheParameters
+from repro.hardware.chip import arm_server_soc_spec
 from repro.hardware.faults import FaultClass, FaultOrigin
 from repro.hypervisor import (
     Hypervisor,
@@ -24,7 +29,7 @@ from repro.hypervisor import (
 )
 from repro.hypervisor.memory import hypervisor_footprint_mb
 from repro.persistence import canonical_json
-from repro.workloads import ldbc_workload, spec_workload
+from repro.workloads import burst_style_workload, ldbc_workload, spec_workload
 
 
 @pytest.fixture
@@ -422,3 +427,95 @@ class TestTickBits:
                    "characterized": self._state(characterized.cloud)}
         digest = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
         assert digest == self.GOLDEN
+
+
+class TestBulkTicks:
+    """``run_ticks(n)`` against ``n`` calls of ``tick`` that stop at a
+    host crash."""
+
+    SPEC = ("mcf", "zeusmp", "hmmer", "bzip2", "namd", "milc")
+
+    @classmethod
+    def build(cls, seed, durations, headroom_mv, refresh_s, keep_reliable,
+              isolate, phased, restart, ecc):
+        """A hypervisor with ``len(durations)`` VMs, every core
+        ``headroom_mv`` above its crash voltage under mcf, and the bus
+        events it publishes."""
+        spec = arm_server_soc_spec()
+        if not ecc:
+            spec = dataclasses.replace(
+                spec, cache=CacheParameters(ecc_reporting=False))
+        platform = build_uniserver_node(chip_spec=spec)
+        hv = Hypervisor(platform, SimClock(), seed=seed,
+                        config=HypervisorConfig(
+                            restart_failed_vms=restart,
+                            use_reliable_domain=keep_reliable))
+        hv.boot()
+        profile = spec_workload("mcf").profile
+        for core in platform.chip.cores:
+            platform.set_core_point(
+                core.core_id, platform.core_point(core.core_id).with_voltage(
+                    core.crash_voltage_v(profile) + headroom_mv * 1e-3))
+        if refresh_s is not None:
+            platform.memory.relax_all(refresh_s,
+                                      keep_reliable_nominal=keep_reliable)
+        for i, cycles in enumerate(durations):
+            workload = (burst_style_workload(duration_cycles=cycles,
+                                             cycles=3)
+                        if phased and i == 0 else
+                        spec_workload(cls.SPEC[i % len(cls.SPEC)],
+                                      duration_cycles=cycles))
+            hv.create_vm(VirtualMachine(name=f"vm{i}", workload=workload))
+        if isolate and durations:
+            # The last VM's core is fenced off under it: ``tick`` moves it.
+            vm_name = f"vm{len(durations) - 1}"
+            platform.chip.core(hv._assignments[vm_name]).isolate()
+        events = []
+        hv.bus.subscribe(Event, events.append)
+        return hv, events
+
+    @staticmethod
+    def state(hv, events):
+        return json.dumps({
+            "hypervisor": hv.state_dict(),
+            "cache": hv.platform.chip.cache.state_dict(),
+            "ledger": hv.platform.faults.state_dict(),
+            "metrics": hv.metrics.state_dict(),
+            "events": [repr(event) for event in events],
+        })
+
+    @given(seed=st.integers(min_value=0, max_value=2**16),
+           n_ticks=st.integers(min_value=1, max_value=120),
+           durations=st.lists(st.floats(min_value=1e9, max_value=3e11),
+                              max_size=12),
+           headroom_mv=st.floats(min_value=0.0, max_value=60.0),
+           refresh_s=st.sampled_from([None, 1.5, 3.0, 5.0, 10.0]),
+           keep_reliable=st.booleans(), isolate=st.booleans(),
+           phased=st.booleans(), restart=st.booleans(), ecc=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_ticks_equal_single_ticks(self, n_ticks, **params):
+        bulk, bulk_events = self.build(**params)
+        bulk.run_ticks(n_ticks)
+        single, single_events = self.build(**params)
+        for _ in range(n_ticks):
+            if single.crashed:
+                break
+            single.tick()
+        assert (self.state(bulk, bulk_events)
+                == self.state(single, single_events))
+
+    def test_quiet_ticks_skip_tick(self, monkeypatch):
+        """A long run of quiet ticks never calls ``tick``, yet completes
+        its VMs and counts every tick."""
+        hv, _ = self.build(seed=0, durations=[5e10, 2e11],
+                           headroom_mv=100.0, refresh_s=None,
+                           keep_reliable=True, isolate=False, phased=False,
+                           restart=True, ecc=True)
+        calls = []
+        tick = hv.tick
+        monkeypatch.setattr(hv, "tick", lambda: calls.append(tick()))
+        hv.run_ticks(120)
+        assert calls == []
+        assert [vm.state for vm in hv.vms] == [VMState.COMPLETED] * 2
+        assert hv.stats.ticks == 120
+        assert hv.metrics.counter("hypervisor.ticks") == 120.0

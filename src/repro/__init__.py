@@ -56,6 +56,7 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
+
 __all__ = [
     "EnergyReport", "EOPTable", "GuardBandBreakdown", "OperatingPoint",
     "SimClock", "UniServerNode", "__version__",

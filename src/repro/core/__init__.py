@@ -81,6 +81,7 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
+
 __all__ = [
     "AccessDenied", "GuestTelemetry", "MonitoringInterface", "NodeStatus", "Scope",
     "EpochReport", "LifetimeResult", "LifetimeSimulator", "MONTH_S",

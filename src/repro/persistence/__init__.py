@@ -36,6 +36,7 @@ def __getattr__(name: str):
     globals()[name] = value
     return value
 
+
 __all__ = [
     "SNAPSHOT_VERSION",
     "CampaignConfig",

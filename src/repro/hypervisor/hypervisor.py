@@ -25,7 +25,7 @@ one ``tick`` call per tick would.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -537,34 +537,43 @@ class Hypervisor:
         that holds an event runs through :meth:`tick`.  Ticks with a
         running VM on an isolated core (:meth:`tick` re-picks its core)
         or with a phased workload (its profile moves with progress) run
-        through :meth:`tick` too.
+        through :meth:`tick` too.  A bulk whose first tick holds an event
+        drew ahead for nothing: events are dense here, so the rest of the
+        call runs tick by tick.
         """
         if not self._booted:
             raise ConfigurationError("boot the hypervisor first")
         left = n_ticks
+        bulk = True
         while left > 0 and not self._crashed:
             running = [vm for vm in self._vms.values()
                        if vm.state is VMState.RUNNING]
-            if any(isinstance(vm.workload, PhasedWorkload)
-                   or self.platform.chip.core(
-                       self._assignments[vm.name]).isolated
-                   for vm in running):
-                self.tick()
-                left -= 1
-            else:
-                left -= self._run_quiet(running, left)
+            if bulk and not any(
+                    isinstance(vm.workload, PhasedWorkload)
+                    or self.platform.chip.core(
+                        self._assignments[vm.name]).isolated
+                    for vm in running):
+                quiet, event = self._run_quiet(running, left)
+                left -= quiet
+                bulk = quiet > 0
+                if not event:
+                    continue
+            self.tick()
+            left -= 1
 
-    def _run_quiet(self, running: List[VirtualMachine], n_ticks: int) -> int:
-        """Run up to ``n_ticks`` ticks of the ``running`` VMs in bulk;
-        returns how many ran.
+    def _run_quiet(self, running: List[VirtualMachine],
+                   n_ticks: int) -> Tuple[int, bool]:
+        """Run the quiet ticks among the next ``n_ticks`` of the
+        ``running`` VMs in bulk; returns how many ran and whether the
+        tick after them holds an event.
 
         Each VM's terms are computed once, and the ticks' variates are
         drawn as arrays in the order :meth:`tick` draws them.  The bulk
         ends with the first tick in which a VM completes.  Every tick
         before the first one that holds an event (a crash, a raw cache
         error or a retention error) is committed; at that event tick both
-        streams are rewound, exactly the quiet ticks are redrawn, and the
-        event tick runs through :meth:`tick`.
+        streams are rewound and exactly the quiet ticks are redrawn, so
+        the event tick can run through :meth:`tick`.
         """
         dt = self.config.tick_s
         cache = self.platform.chip.cache
@@ -590,12 +599,11 @@ class Hypervisor:
 
         rng_state = self._rng.bit_generator.state
         cache_state = cache.state_dict()
-        events = self._draw_ticks(n_ticks, crash_p, expected, rates)
-        quiet = int(events.argmax()) if events.any() else n_ticks
+        quiet = self._draw_quiet(n_ticks, crash_p, expected, rates)
         if quiet < n_ticks:
             self._rng.bit_generator.state = rng_state
             cache.load_state_dict(cache_state)
-            self._draw_ticks(quiet, crash_p, expected, rates)
+            self._draw_quiet(quiet, crash_p, expected, rates)
         if quiet:
             for i, vm in enumerate(running):
                 # The last quiet tick runs through ``execute``, which
@@ -609,37 +617,35 @@ class Hypervisor:
             self.stats.ticks += quiet
             self.metrics.inc("hypervisor.ticks", quiet)
             self._set_gauges()
-        if quiet < n_ticks:
-            self.tick()
-            return quiet + 1
-        return n_ticks
+        return quiet, quiet < n_ticks
 
-    def _draw_ticks(self, n_ticks: int, crash_p: np.ndarray,
-                    expected: np.ndarray,
-                    rates: Sequence[float]) -> np.ndarray:
-        """Draw ``n_ticks`` ticks' variates as :meth:`tick` draws them in
-        quiet ticks; True where a tick holds an event.
+    def _draw_quiet(self, n_ticks: int, crash_p: np.ndarray,
+                    expected: np.ndarray, rates: Sequence[float]) -> int:
+        """Draw up to ``n_ticks`` ticks' variates as :meth:`tick` draws them
+        in quiet ticks; returns how many ticks come before the first one
+        that holds an event (``n_ticks`` when none does).
 
         Per tick, the hypervisor stream draws one uniform per running VM
         (its crash test), then one Poisson count per relaxed domain; the
-        cache stream draws one raw error count per VM.
+        cache stream draws one raw error count per VM.  Drawing may stop
+        within the first event tick; the caller then rewinds both streams.
         """
-        n_vms = len(crash_p)
+        events = self.platform.chip.cache.raw_error_counts(
+            expected, n_ticks).any(axis=1)
         if not rates:
-            events = (self._rng.random((n_ticks, n_vms))
-                      < crash_p).any(axis=1)
-        elif not n_vms:
-            events = self._rng.poisson(
-                rates, size=(n_ticks, len(rates))).any(axis=1)
+            events |= (self._rng.random((n_ticks, len(crash_p)))
+                       < crash_p).any(axis=1)
         else:
-            events = np.zeros(n_ticks, dtype=bool)
+            # Each tick's uniforms precede its Poisson counts on the one
+            # stream, so these ticks draw one by one.
             for row in range(n_ticks):
-                crashes = self._rng.random(n_vms) < crash_p
-                errors = self._rng.poisson(rates)
-                events[row] = crashes.any() or errors.any()
-        cache_errors = self.platform.chip.cache.raw_error_counts(
-            expected, n_ticks)
-        return events | cache_errors.any(axis=1)
+                if not events[row]:
+                    events[row] = (
+                        (self._rng.random(len(crash_p)) < crash_p).any()
+                        or any(self._rng.poisson(rate) for rate in rates))
+                if events[row]:
+                    break
+        return int(events.argmax()) if events.any() else n_ticks
 
     def footprint(self) -> FootprintSample:
         """The hypervisor/VM/application memory split right now (Figure 3)."""

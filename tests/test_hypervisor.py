@@ -519,3 +519,17 @@ class TestBulkTicks:
         assert [vm.state for vm in hv.vms] == [VMState.COMPLETED] * 2
         assert hv.stats.ticks == 120
         assert hv.metrics.counter("hypervisor.ticks") == 120.0
+
+    def test_dense_events_draw_ahead_once(self, monkeypatch):
+        """Once a bulk meets an event on its first tick, the rest of the
+        call runs tick by tick instead of drawing ahead again."""
+        hv, _ = self.build(seed=0, durations=[3e11], headroom_mv=0.0,
+                           refresh_s=None, keep_reliable=True, isolate=False,
+                           phased=False, restart=True, ecc=True)
+        bulks = []
+        run_quiet = hv._run_quiet
+        monkeypatch.setattr(hv, "_run_quiet", lambda *args: bulks.append(
+            run_quiet(*args)) or bulks[-1])
+        hv.run_ticks(60)
+        assert bulks == [(0, True)]
+        assert hv.stats.ticks == 60

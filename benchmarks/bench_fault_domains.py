@@ -222,4 +222,4 @@ def test_correlated_guard_demotes_rail_in_one_transaction(
         "the batch must cover exactly the not-yet-demoted rail members")
     assert all(r.demotions == 0 for r in batch), (
         "a domain fault must not charge individual demotion strikes")
-    assert node.metrics.counter("eop.correlated_demotions") == 1.0
+    assert node.runtime.metrics.counter("eop.correlated_demotions") == 1.0

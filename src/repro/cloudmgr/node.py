@@ -1,11 +1,11 @@
 """Compute-node abstraction for the resource manager.
 
-A :class:`ComputeNode` is the cloud layer's view of one **full**
+A :class:`ComputeNode` **is** a full
 :class:`~repro.core.coordinator.UniServerNode` — Predictor and
 IsolationManager included — rather than a hand-assembled partial stack.
 Rack experiments therefore exercise exactly the same cross-layer code
 path as the single-node benches, through the shared
-``pre_deploy → deploy → run`` lifecycle, and every node reports into its
+``pre_deploy → deploy`` lifecycle, and every node reports into its
 runtime's :class:`~repro.core.runtime.MetricsRegistry`.
 
 The node exposes the metrics OpenStack-style scheduling consumes.  Paper
@@ -20,20 +20,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..core.clock import SimClock, step_count
-from ..core.coordinator import UniServerNode
-from ..core.events import EventBus
+from ..core.coordinator import ISOLATION_REVIEW_S, UniServerNode
 from ..core.exceptions import ConfigurationError, IsolationError
 from ..core.runtime import NodeRuntime, spawn_runtimes
-from ..daemons.healthlog import HealthLog
-from ..daemons.predictor import Predictor
-from ..daemons.stresslog import StressLog
-from ..eop.governor import EOPGovernor
 from ..eop.policy import EOPPolicy, EOPState
 from ..hardware.faults import FaultClass
-from ..hardware.platform import ServerPlatform
-from ..hypervisor.hypervisor import Hypervisor, HypervisorConfig
-from ..hypervisor.isolation import IsolationManager
-from ..hypervisor.qos import QoSGuard
+from ..hypervisor.hypervisor import HypervisorConfig
 from ..hypervisor.vm import VirtualMachine
 from ..resilience.health import Heartbeat
 from .telemetry import NodeSample, TelemetryService
@@ -67,11 +59,11 @@ class NodeMetrics:
         )
 
 
-class ComputeNode:
+class ComputeNode(UniServerNode):
     """A full UniServer node as the cloud layer sees it.
 
-    Wraps a :class:`~repro.core.coordinator.UniServerNode` and drives its
-    unified lifecycle:
+    Runs the :class:`~repro.core.coordinator.UniServerNode` lifecycle
+    at construction:
 
     * ``characterize=True`` runs the pre-deployment StressLog cycle,
       deploys under ``eop_policy`` (adopt-within-budget by default) and
@@ -86,29 +78,19 @@ class ComputeNode:
     """
 
     def __init__(self, name: str, clock: Optional[SimClock] = None,
-                 platform: Optional[ServerPlatform] = None,
                  hypervisor_config: Optional[HypervisorConfig] = None,
                  seed: int = 0,
                  runtime: Optional[NodeRuntime] = None,
                  characterize: bool = False,
-                 eop_policy: Optional[EOPPolicy] = None,
-                 isolation_review_every_s: float = 60.0) -> None:
-        if isolation_review_every_s <= 0:
-            raise ConfigurationError(
-                "isolation review period must be positive")
+                 eop_policy: Optional[EOPPolicy] = None) -> None:
         if runtime is None:
             runtime = NodeRuntime(name=name, clock=clock, seed=seed)
-        elif clock is not None and clock is not runtime.clock:
-            raise ConfigurationError(
-                "pass either a runtime or a clock, not a conflicting pair")
+        # deploy() applies eop_policy: the governor copies its
+        # stale-fallback horizon from its constructor-time policy.
+        super().__init__(clock=clock, hypervisor_config=hypervisor_config,
+                         runtime=runtime)
         self.name = name
-        self.runtime = runtime
-        self.node = UniServerNode(
-            platform=platform, hypervisor_config=hypervisor_config,
-            runtime=runtime,
-        )
         self.platform.name = name
-        self.isolation_review_every_s = isolation_review_every_s
         self._uptime_s = 0.0
         self._downtime_s = 0.0
         self._since_review = 0.0
@@ -126,63 +108,11 @@ class ComputeNode:
             eop_policy = (EOPPolicy.adopt_within_budget() if characterize
                           else EOPPolicy.conservative())
         if characterize:
-            self.node.pre_deploy()
-            self.node.deploy(eop_policy)
-            self.node.train_predictor(include_campaign=False)
+            self.pre_deploy()
+            self.deploy(eop_policy)
+            self.train_predictor(include_campaign=False)
         else:
-            self.node.deploy(eop_policy)
-
-    # -- the wrapped stack -------------------------------------------------
-
-    @property
-    def clock(self) -> SimClock:
-        """The shared simulation clock."""
-        return self.runtime.clock
-
-    @property
-    def bus(self) -> EventBus:
-        """The node's event bus."""
-        return self.runtime.bus
-
-    @property
-    def platform(self) -> ServerPlatform:
-        """The node's hardware platform."""
-        return self.node.platform
-
-    @property
-    def hypervisor(self) -> Hypervisor:
-        """The node's hypervisor."""
-        return self.node.hypervisor
-
-    @property
-    def healthlog(self) -> HealthLog:
-        """The node's HealthLog daemon."""
-        return self.node.healthlog
-
-    @property
-    def stresslog(self) -> StressLog:
-        """The node's StressLog daemon."""
-        return self.node.stresslog
-
-    @property
-    def predictor(self) -> Predictor:
-        """The node's failure Predictor daemon."""
-        return self.node.predictor
-
-    @property
-    def isolation(self) -> IsolationManager:
-        """The node's isolation manager."""
-        return self.node.isolation
-
-    @property
-    def qos(self) -> QoSGuard:
-        """Per-VM QoS guarantees gating local EOP adoption."""
-        return self.node.qos
-
-    @property
-    def governor(self) -> EOPGovernor:
-        """The node's EOP governor (supervised margin adoption)."""
-        return self.node.governor
+            self.deploy(eop_policy)
 
     # -- capacity ---------------------------------------------------------
 
@@ -334,7 +264,7 @@ class ComputeNode:
     # -- persistence ---------------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:
-        """Serializable node state across every wrapped layer."""
+        """Serializable node state across every layer."""
         return {
             "runtime": self.runtime.state_dict(),
             "metrics": self.runtime.metrics.state_dict(),
@@ -414,7 +344,7 @@ class ComputeNode:
         self.hypervisor.run_ticks(
             max(1, step_count(dt_s, self.hypervisor.config.tick_s)))
         self._since_review += dt_s
-        if self._since_review >= self.isolation_review_every_s:
+        if self._since_review >= ISOLATION_REVIEW_S:
             self._review_isolation()
             self._since_review = 0.0
         if self.hypervisor.crashed:
@@ -445,10 +375,8 @@ class ComputeNode:
 
 
 def build_rack(n_nodes: int, clock: Optional[SimClock] = None,
-               seed: int = 0, name_prefix: str = "node",
-               characterize: bool = False,
+               seed: int = 0, characterize: bool = False,
                eop_policy: Optional[EOPPolicy] = None,
-               hypervisor_config: Optional[HypervisorConfig] = None,
                ) -> List[ComputeNode]:
     """A rack of full UniServer nodes on one shared clock.
 
@@ -456,12 +384,8 @@ def build_rack(n_nodes: int, clock: Optional[SimClock] = None,
     independent, reproducible stream family per node, replacing the
     ad-hoc ``seed=base + i`` convention.
     """
-    runtimes = spawn_runtimes(n_nodes, seed=seed, clock=clock,
-                              name_prefix=name_prefix)
     return [
         ComputeNode(runtime.name, runtime=runtime,
-                    hypervisor_config=hypervisor_config,
-                    characterize=characterize,
-                    eop_policy=eop_policy)
-        for runtime in runtimes
+                    characterize=characterize, eop_policy=eop_policy)
+        for runtime in spawn_runtimes(n_nodes, seed=seed, clock=clock)
     ]

@@ -25,18 +25,21 @@ from typing import List, Optional
 from ..daemons.healthlog import HealthLog, HealthLogConfig
 from ..daemons.infovector import InfoVector, MarginVector
 from ..daemons.predictor import Predictor
-from ..daemons.stresslog import StressLog, StressTargets
+from ..daemons.stresslog import StressLog
 from ..eop.governor import EOPGovernor
 from ..eop.policy import EOPPolicy
 from ..hardware.platform import ServerPlatform, build_uniserver_node
 from ..hypervisor.hypervisor import Hypervisor, HypervisorConfig
-from ..hypervisor.isolation import IsolationManager, IsolationPolicy
+from ..hypervisor.isolation import IsolationManager
 from ..hypervisor.qos import QoSGuard
 from ..hypervisor.vm import VirtualMachine
-from ..workloads.base import WorkloadSuite
 from .clock import SimClock
 from .exceptions import ConfigurationError
 from .runtime import NodeRuntime
+
+#: Simulated seconds between two isolation reviews (and, in a standalone
+#: :meth:`UniServerNode.run`, two governor supervision steps).
+ISOLATION_REVIEW_S = 60.0
 
 
 @dataclass
@@ -68,13 +71,10 @@ class UniServerNode:
 
     def __init__(self, platform: Optional[ServerPlatform] = None,
                  clock: Optional[SimClock] = None,
-                 stress_suite: Optional[WorkloadSuite] = None,
-                 stress_targets: Optional[StressTargets] = None,
                  hypervisor_config: Optional[HypervisorConfig] = None,
                  seed: int = 0,
                  runtime: Optional[NodeRuntime] = None,
                  healthlog_config: Optional[HealthLogConfig] = None,
-                 isolation_policy: Optional[IsolationPolicy] = None,
                  eop_policy: Optional[EOPPolicy] = None) -> None:
         if runtime is None:
             runtime = NodeRuntime(name="uniserver0", clock=clock, seed=seed)
@@ -84,22 +84,16 @@ class UniServerNode:
         self.runtime = runtime
         self.clock = runtime.clock
         self.bus = runtime.bus
-        self.metrics = runtime.metrics
         self.platform = platform or build_uniserver_node(name=runtime.name)
         self.healthlog = HealthLog(self.platform, runtime=runtime,
                                    config=healthlog_config)
-        self.stresslog = StressLog(
-            self.platform, runtime=runtime,
-            suite=stress_suite, targets=stress_targets,
-        )
+        self.stresslog = StressLog(self.platform, runtime=runtime)
         self.predictor = Predictor(self.platform.chip.spec.nominal,
                                    runtime=runtime)
         self.hypervisor = Hypervisor(
             self.platform, runtime=runtime, config=hypervisor_config,
         )
-        self.isolation = IsolationManager(self.platform,
-                                          policy=isolation_policy,
-                                          runtime=runtime)
+        self.isolation = IsolationManager(self.platform, runtime=runtime)
         self.qos = QoSGuard(self.hypervisor, runtime=runtime)
         self.governor = EOPGovernor(
             self.hypervisor, qos=self.qos, healthlog=self.healthlog,
@@ -149,8 +143,7 @@ class UniServerNode:
             raise ConfigurationError("deploy() the node before launching VMs")
         self.hypervisor.create_vm(vm)
 
-    def run(self, duration_s: float,
-            isolation_review_every_s: float = 60.0) -> None:
+    def run(self, duration_s: float) -> None:
         """Run the node: hypervisor ticks plus periodic isolation review."""
         if not self._deployed:
             raise ConfigurationError("deploy() the node before running")
@@ -162,7 +155,7 @@ class UniServerNode:
             self.clock.advance_by(tick)
             elapsed += tick
             since_review += tick
-            if since_review >= isolation_review_every_s:
+            if since_review >= ISOLATION_REVIEW_S:
                 self.governor.step()
                 self.isolation.review(self.platform.faults, self.clock.now)
                 since_review = 0.0

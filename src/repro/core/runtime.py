@@ -327,8 +327,8 @@ class NodeRuntime:
         )
 
 
-def spawn_runtimes(n: int, seed: int = 0, clock: Optional[SimClock] = None,
-                   name_prefix: str = "node") -> List[NodeRuntime]:
+def spawn_runtimes(n: int, seed: int = 0,
+                   clock: Optional[SimClock] = None) -> List[NodeRuntime]:
     """Per-node runtimes for a rack, on one shared clock.
 
     One root :class:`numpy.random.SeedSequence` is spawned into ``n``
@@ -340,7 +340,7 @@ def spawn_runtimes(n: int, seed: int = 0, clock: Optional[SimClock] = None,
     shared_clock = clock if clock is not None else SimClock()
     root = np.random.SeedSequence(seed)
     return [
-        NodeRuntime(name=f"{name_prefix}{i}", clock=shared_clock,
+        NodeRuntime(name=f"node{i}", clock=shared_clock,
                     seed_sequence=child)
         for i, child in enumerate(root.spawn(n))
     ]

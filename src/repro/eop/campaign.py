@@ -284,7 +284,7 @@ def _reduce(config: EOPCampaignConfig, node,
         promotions=int(counter("eop.promoted")),
         quarantines=int(counter("eop.quarantined")),
         demotion_delay_s=demotion_delay,
-        energy_saving_fraction=node.node.energy_report().saving_fraction,
+        energy_saving_fraction=node.energy_report().saving_fraction,
         state_counts=node.governor.counts(),
         state_table=node.governor.state_table(),
         transitions=transitions,
@@ -303,7 +303,7 @@ def run_eop_campaign(config: EOPCampaignConfig,
     """
     clock, node, fleet = _build_node(config)
     for vm in fleet:
-        node.node.launch_vm(vm)
+        node.launch_vm(vm)
     transitions, snapshot = _run_steps(
         config, clock, node, start_step=0, snapshot_at_s=snapshot_at_s)
     return _reduce(config, node, transitions, snapshot)
@@ -319,18 +319,8 @@ def resume_eop_campaign(config: EOPCampaignConfig,
     correct governor lands on the same final state table as the
     uninterrupted run.
     """
-    from ..hypervisor.vm import make_vm_fleet
-    from ..workloads.spec import spec_workload
-
     clock, node, fleet = _build_node(config)
-    for vm in fleet:
-        node.node.launch_vm(vm)
-    shells = {
-        vm.name: vm
-        for vm in make_vm_fleet(
-            spec_workload("hmmer", duration_cycles=_VM_DURATION_CYCLES),
-            config.n_vms)
-    }
+    shells = {vm.name: vm for vm in fleet}
     clock.load_state_dict(snapshot["clock"])  # type: ignore[arg-type]
     node.load_state_dict(snapshot["node"],  # type: ignore[arg-type]
                          vm_factory=lambda name: shells[name])

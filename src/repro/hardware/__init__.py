@@ -53,7 +53,7 @@ from .ecc import (
     secded_word_failure_probability,
 )
 from .faults import FaultClass, FaultLedger, FaultOrigin, FaultRecord
-from .platform import PlatformConfig, ServerPlatform, build_uniserver_node
+from .platform import ServerPlatform, build_uniserver_node
 from .power import CorePowerModel, DramPowerModel, energy_for_work
 from .sensors import PerfCounters, SensorBlock, SensorReadings
 from .thermal import ThermalModel, retention_temperature_factor
@@ -112,7 +112,7 @@ __all__ = [
     "BCH_DEC", "BCH_TEC", "ECC_SCHEMES", "SEC_DAEC", "SECDED",
     "EccScheme", "EccSelector", "scheme_by_name",
     "FaultClass", "FaultLedger", "FaultOrigin", "FaultRecord",
-    "PlatformConfig", "ServerPlatform", "build_uniserver_node",
+    "ServerPlatform", "build_uniserver_node",
     "CorePowerModel", "DramPowerModel", "energy_for_work",
     "PerfCounters", "SensorBlock", "SensorReadings",
     "ThermalModel", "retention_temperature_factor",

@@ -8,7 +8,6 @@ configuration of every component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.eop import NOMINAL_REFRESH_INTERVAL_S, OperatingPoint
@@ -16,17 +15,6 @@ from ..core.exceptions import ConfigurationError
 from .chip import ChipModel, ChipSpec, arm_server_soc_spec
 from .dram import DramSystem, standard_server_memory
 from .faults import FaultLedger
-
-
-@dataclass(frozen=True)
-class PlatformConfig:
-    """Build parameters for a standard UniServer node."""
-
-    chip_seed: int = 0
-    memory_channels: int = 4
-    dimm_gb: float = 8.0
-    device_density_gbit: float = 2.0
-    reliable_channel: int = 0
 
 
 class ServerPlatform:
@@ -123,18 +111,8 @@ class ServerPlatform:
         return "\n".join(lines)
 
 
-def build_uniserver_node(config: Optional[PlatformConfig] = None,
-                         chip_spec: Optional[ChipSpec] = None,
+def build_uniserver_node(chip_spec: Optional[ChipSpec] = None,
                          name: str = "node0") -> ServerPlatform:
     """Assemble a standard UniServer node (ARM SoC + 4-channel memory)."""
-    config = config or PlatformConfig()
-    spec = chip_spec or arm_server_soc_spec()
-    chip = ChipModel(spec, seed=config.chip_seed)
-    memory = standard_server_memory(
-        n_channels=config.memory_channels,
-        dimm_gb=config.dimm_gb,
-        device_density_gbit=config.device_density_gbit,
-        reliable_channel=config.reliable_channel,
-        seed=config.chip_seed + 7,
-    )
-    return ServerPlatform(chip, memory, name=name)
+    chip = ChipModel(chip_spec or arm_server_soc_spec(), seed=0)
+    return ServerPlatform(chip, standard_server_memory(seed=7), name=name)

@@ -46,6 +46,9 @@ from ..workloads.phases import PhasedWorkload
 from .memory import FootprintSample, PlacementPolicy, hypervisor_footprint_mb
 from .vm import VirtualMachine, VMState
 
+#: Fraction of a tick a VM effectively executes (scheduling overhead).
+VM_EFFICIENCY = 0.95
+
 
 @dataclass(frozen=True)
 class HypervisorConfig:
@@ -63,16 +66,12 @@ class HypervisorConfig:
     use_affinity: bool = False
     #: Scheduler time slice (seconds of simulated time per tick).
     tick_s: float = 1.0
-    #: Fraction of a tick a VM effectively executes (scheduling overhead).
-    efficiency: float = 0.95
 
     def __post_init__(self) -> None:
         if not 0 < self.failure_budget < 1:
             raise ConfigurationError("failure budget must be in (0, 1)")
         if self.tick_s <= 0:
             raise ConfigurationError("tick must be positive")
-        if not 0 < self.efficiency <= 1:
-            raise ConfigurationError("efficiency must be in (0, 1]")
 
 
 @dataclass
@@ -459,7 +458,7 @@ class Hypervisor:
             core_id=core_id, point=point, profile=profile,
             crash_p=core.crash_probability(point, profile),
             crash_v=core.crash_voltage_v(profile, point.frequency_hz),
-            cycles=dt * point.frequency_hz * self.config.efficiency,
+            cycles=dt * point.frequency_hz * VM_EFFICIENCY,
             energy_j=self.platform.chip.power.total_power_w(
                 point, activity=profile.activity_factor,
                 temperature_c=self.platform.chip.thermal.temperature_c,

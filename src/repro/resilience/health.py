@@ -24,7 +24,7 @@ migration, a reboot) and to *measure* outcomes (SLA accounting).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
@@ -196,13 +196,15 @@ class NodeView:
             and need_mb <= self.free_memory_mb()
 
     def metrics(self) -> "NodeMetrics":
-        """Last reported scheduling metrics, reservation-adjusted."""
+        """Last reported scheduling metrics, as reported.
+
+        Its free capacity ignores reservations; read the believed free
+        capacity from :meth:`free_vcpus` and :meth:`free_memory_mb`.
+        """
         if self.last is None:
             raise ConfigurationError(
                 f"no heartbeat ever received from {self.name!r}")
-        return replace(self.last.metrics,
-                       free_vcpus=self.free_vcpus(),
-                       free_memory_mb=self.free_memory_mb())
+        return self.last.metrics
 
     def reliability(self, window_s: float = 3600.0) -> float:
         """Worst reliability reported within the last ``window_s``.

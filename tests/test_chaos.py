@@ -241,6 +241,18 @@ class TestNodeHealthView:
         health.observe(node.heartbeat())
         assert view.free_vcpus() == before
 
+    def test_view_metrics_are_the_last_heartbeats(self):
+        health = NodeHealthView()
+        health.register("node0")
+        heartbeat = make_node().heartbeat()
+        health.observe(heartbeat)
+        view = health.view("node0")
+        view.reserve(2, 1024.0)
+        assert view.metrics() is heartbeat.metrics
+        assert view.free_vcpus() == heartbeat.metrics.free_vcpus - 2
+        assert view.free_memory_mb() == \
+            heartbeat.metrics.free_memory_mb - 1024.0
+
 
 class TestNodeViewWindowedReliability:
     @staticmethod

@@ -82,7 +82,7 @@ class TestAdoption:
         adopted = [e for e in seen if e.to_state == "adopted"]
         assert adopted
         assert all(e.from_state == "nominal" for e in adopted)
-        assert node.metrics.counter("eop.adopted") == len(adopted)
+        assert node.runtime.metrics.counter("eop.adopted") == len(adopted)
 
     def test_transaction_rolls_back_on_midbatch_failure(self, monkeypatch):
         """A setter blowing up mid-batch must undo the partial adoption."""
@@ -106,7 +106,7 @@ class TestAdoption:
         assert all(node.platform.core_point(c.core_id) == nominal
                    for c in node.platform.chip.cores)
         assert node.governor.adopted_count() == 0
-        assert node.metrics.counter("eop.transactions_rolled_back") == 1.0
+        assert node.runtime.metrics.counter("eop.transactions_rolled_back") == 1.0
         assert node.hypervisor.stats.margin_applications == 0
 
 
@@ -119,7 +119,7 @@ class TestDemotion:
         assert record.state in (EOPState.DEMOTED, EOPState.QUARANTINED)
         assert node.platform.core_point(3) == record.saved_point
         assert node.platform.core_point(3) != old_point
-        assert node.metrics.counter("eop.demoted") == 1.0
+        assert node.runtime.metrics.counter("eop.demoted") == 1.0
 
     def test_budget_breach_demotes_on_step(self):
         """The governor's own ledger check, below the HealthLog anomaly
@@ -151,7 +151,7 @@ class TestDemotion:
         assert record.state is EOPState.ADOPTED
         point = node.platform.core_point(2)
         assert point.voltage_v == target.voltage_v
-        assert node.metrics.counter("eop.promoted") == 1.0
+        assert node.runtime.metrics.counter("eop.promoted") == 1.0
 
     def test_quarantine_after_max_demotions(self):
         policy = EOPPolicy.adopt_within_budget().with_overrides(
@@ -166,20 +166,20 @@ class TestDemotion:
         node.governor.step()
         record = node.governor.record("core2")
         assert record.state is EOPState.QUARANTINED
-        assert node.metrics.counter("eop.quarantined") == 1.0
+        assert node.runtime.metrics.counter("eop.quarantined") == 1.0
         # Quarantined components refuse re-adoption.
         vector = node.recharacterize()
         txn = node.governor.adopt(vector)
         assert "core2" not in txn.adopted
         assert record.state is EOPState.QUARANTINED
-        assert node.metrics.counter("eop.quarantine_blocked") >= 1.0
+        assert node.runtime.metrics.counter("eop.quarantine_blocked") >= 1.0
 
     def test_one_shot_policy_never_demotes(self):
         node = make_node(policy=EOPPolicy.one_shot())
         storm(node, "core3", 20)
         node.governor.step()
         assert node.governor.record("core3").state is EOPState.ADOPTED
-        assert node.metrics.counter("eop.demoted") == 0.0
+        assert node.runtime.metrics.counter("eop.demoted") == 0.0
 
     def test_wedged_governor_stops_supervising(self):
         node = make_node()
@@ -187,7 +187,7 @@ class TestDemotion:
         storm(node, "core3", 20)
         node.governor.step()
         assert node.governor.record("core3").state is EOPState.ADOPTED
-        assert node.metrics.counter("eop.wedged_ticks") == 1.0
+        assert node.runtime.metrics.counter("eop.wedged_ticks") == 1.0
         node.governor.wedged = False
         node.governor.step()
         assert node.governor.record("core3").state is not EOPState.ADOPTED
@@ -210,7 +210,7 @@ class TestStaleFallback:
         node.healthlog.stalled = True
         node.clock.advance_by(200.0)
         node.governor.step()
-        assert node.metrics.counter("resilience.fallback.engaged") == 1.0
+        assert node.runtime.metrics.counter("resilience.fallback.engaged") == 1.0
         assert all(node.platform.core_point(i) == nominal
                    for i in adopted_points)
         assert node.governor.adopted_count() == 0
@@ -220,7 +220,7 @@ class TestStaleFallback:
         node.healthlog.stalled = False
         node.clock.advance_by(node.healthlog.config.sampling_period_s + 1)
         node.governor.step()
-        assert node.metrics.counter("resilience.fallback.restored") == 1.0
+        assert node.runtime.metrics.counter("resilience.fallback.restored") == 1.0
         assert {i: node.platform.core_point(i)
                 for i in adopted_points} == adopted_points
         assert record.state is EOPState.ADOPTED
@@ -235,8 +235,8 @@ class TestStaleFallback:
         node.governor.step()
         node.clock.advance_by(60.0)
         node.governor.step()
-        assert node.metrics.counter("resilience.fallback.engaged") == 1.0
-        assert node.metrics.counter("resilience.fallback.restored") == 0.0
+        assert node.runtime.metrics.counter("resilience.fallback.engaged") == 1.0
+        assert node.runtime.metrics.counter("resilience.fallback.restored") == 0.0
 
     def test_restore_is_idempotent(self):
         """Satellite regression: restoring twice must not double-count
@@ -252,12 +252,12 @@ class TestStaleFallback:
             c.core_id: node.platform.core_point(c.core_id)
             for c in node.platform.chip.cores
         }
-        promoted = node.metrics.counter("eop.promoted")
+        promoted = node.runtime.metrics.counter("eop.promoted")
         # Second (and third) review with fresh telemetry: no-ops.
         node.governor.step()
         node.governor._review_stale_fallback(node.clock.now)
-        assert node.metrics.counter("resilience.fallback.restored") == 1.0
-        assert node.metrics.counter("eop.promoted") == promoted
+        assert node.runtime.metrics.counter("resilience.fallback.restored") == 1.0
+        assert node.runtime.metrics.counter("eop.promoted") == promoted
         assert {c.core_id: node.platform.core_point(c.core_id)
                 for c in node.platform.chip.cores} == restored_points
 

@@ -414,7 +414,7 @@ class TestCorrelatedGuardGovernor:
         batch = [r for r in cores
                  if r.component not in ("core1", "core2")]
         assert all(r.demotions == 0 for r in batch)
-        assert node.metrics.counter("eop.correlated_demotions") == 1.0
+        assert node.runtime.metrics.counter("eop.correlated_demotions") == 1.0
 
     def test_window_expiry_resets_the_count(self):
         node = self._node(correlated_k=2)

@@ -157,7 +157,7 @@ class TestNodeWiring:
         node.pre_deploy()
         node.deploy()
         node.run(120.0)
-        layers = node.metrics.layers()
+        layers = node.runtime.metrics.layers()
         assert "daemons" in layers
         assert "hypervisor" in layers
         assert "hardware" in layers
@@ -168,31 +168,40 @@ class TestComputeNodeWrapsUniServerNode:
         from repro.cloudmgr import ComputeNode
 
         node = ComputeNode("n0", SimClock(), seed=4)
-        assert isinstance(node.node, UniServerNode)
-        assert node.predictor is node.node.predictor
-        assert node.isolation is node.node.isolation
-        assert node.qos is node.node.qos
-        assert node.node.deployed
+        assert isinstance(node, UniServerNode)
+        assert not hasattr(node, "node")
+        assert node.deployed
+        runtime = node.runtime
+        for layer in (node.healthlog, node.stresslog, node.hypervisor,
+                      node.isolation, node.qos, node.governor):
+            assert layer.metrics is runtime.metrics
+        assert node.hypervisor.clock is node.clock is runtime.clock
+        assert node.hypervisor.bus is node.bus is runtime.bus
 
-    def test_characterized_node_matches_manual_lifecycle(self):
+    @pytest.mark.parametrize("characterize", [True, False])
+    def test_characterized_node_matches_manual_lifecycle(self, characterize):
         from repro.cloudmgr import ComputeNode
+        from repro.eop.policy import EOPPolicy
 
-        wrapped = ComputeNode("n0", runtime=NodeRuntime(name="n0", seed=9),
-                              characterize=True)
+        compute = ComputeNode("n0", runtime=NodeRuntime(name="n0", seed=9),
+                              characterize=characterize)
         manual = UniServerNode(runtime=NodeRuntime(name="n0", seed=9))
-        manual.pre_deploy()
-        manual.deploy()
-        manual.train_predictor(include_campaign=False)
-        wrapped_points = [
-            wrapped.platform.core_point(c.core_id)
-            for c in wrapped.platform.chip.cores
+        if characterize:
+            manual.pre_deploy()
+            manual.deploy()
+            manual.train_predictor(include_campaign=False)
+        else:
+            manual.deploy(EOPPolicy.conservative())
+        compute_points = [
+            compute.platform.core_point(c.core_id)
+            for c in compute.platform.chip.cores
         ]
         manual_points = [
             manual.platform.core_point(c.core_id)
             for c in manual.platform.chip.cores
         ]
-        assert wrapped_points == manual_points
-        assert wrapped.metrics_snapshot() == manual.metrics.snapshot()
+        assert compute_points == manual_points
+        assert compute.metrics_snapshot() == manual.runtime.metrics.snapshot()
 
     def test_uncharacterized_node_boots_at_nominal(self):
         from repro.cloudmgr import ComputeNode
